@@ -46,33 +46,37 @@ Throughput rates(double seconds, const CoverageOptions& opt,
   return t;
 }
 
-// The seed's evaluate_ced_coverage loop, verbatim: fresh PatternSet and a
-// full golden machine re-simulation per fault sample.
+// The seed's evaluate_ced_coverage loop: fresh PatternSet and a full
+// golden machine re-simulation per fault sample (a one-fault engine batch
+// each), drawing sites and pattern seeds from the seed's mt19937_64 stream.
 Throughput run_baseline(const CedDesign& ced, const CoverageOptions& options) {
   Stopwatch watch;
   CoverageResult result;
   std::mt19937_64 rng(options.seed);
-  Simulator sim(ced.design);
+  FaultSimEngine engine(ced.design);
   const Network& net = ced.design;
   for (int s = 0; s < options.num_fault_samples; ++s) {
     NodeId site = ced.functional_nodes[rng() % ced.functional_nodes.size()];
     StuckFault fault{site, static_cast<bool>(rng() & 1)};
     PatternSet patterns =
         PatternSet::random(net.num_pis(), options.words_per_fault, rng());
-    sim.run(patterns);
-    sim.inject(fault);
-    const auto z1 = sim.faulty_value(ced.error_pair.rail1);
-    const auto z2 = sim.faulty_value(ced.error_pair.rail2);
-    for (int w = 0; w < options.words_per_fault; ++w) {
-      uint64_t err = 0;
-      for (NodeId out : ced.functional_outputs) {
-        err |= sim.value(out)[w] ^ sim.faulty_value(out)[w];
-      }
-      uint64_t flagged = ~(z1[w] ^ z2[w]);
-      result.erroneous += std::popcount(err);
-      result.detected += std::popcount(err & flagged);
-      result.runs += 64;
-    }
+    engine.run_batch(
+        patterns, {FaultSpec::stuck_at(fault)},
+        [&](int, const FaultSpec&, const FaultView& v) {
+          const uint64_t* z1 = v.faulty(ced.error_pair.rail1);
+          const uint64_t* z2 = v.faulty(ced.error_pair.rail2);
+          for (int w = 0; w < options.words_per_fault; ++w) {
+            uint64_t err = 0;
+            for (NodeId out : ced.functional_outputs) {
+              err |= v.golden(out)[w] ^ v.faulty(out)[w];
+            }
+            uint64_t flagged = ~(z1[w] ^ z2[w]);
+            result.erroneous += std::popcount(err);
+            result.detected += std::popcount(err & flagged);
+            result.runs += 64;
+          }
+        },
+        /*num_threads=*/1);
   }
   return rates(watch.seconds(), options, result);
 }
@@ -124,8 +128,8 @@ struct WidthRow {
 };
 
 // Visitor-accounting sweep: isolates the campaign visitors' popcount tax.
-// One simulation materializes golden/faulty rows for every functional
-// output plus the two-rail pair; the sweep then replays the CED coverage
+// One engine injection materializes golden/faulty rows for every
+// functional output plus the two-rail pair (copied out during the visit); the sweep then replays the CED coverage
 // accounting over those rows `reps` times, once with the legacy per-word
 // std::popcount loop and once through the dispatched popcount-reduce
 // kernels. Both compute the identical (erroneous, detected) integers —
@@ -141,16 +145,30 @@ struct VisitorSweep {
 
 VisitorSweep run_visitor_sweep(const CedDesign& ced, int words, int reps,
                                uint64_t seed) {
-  Simulator sim(ced.design);
-  sim.run(PatternSet::random(ced.design.num_pis(), words, seed));
-  sim.inject({ced.functional_nodes[ced.functional_nodes.size() / 2], true});
+  std::vector<std::vector<uint64_t>> golden_rows, faulty_rows;
+  std::vector<uint64_t> z1_row, z2_row;
+  FaultSimEngine engine(ced.design);
+  engine.run_batch(
+      PatternSet::random(ced.design.num_pis(), words, seed),
+      {FaultSpec::stuck_at(
+          {ced.functional_nodes[ced.functional_nodes.size() / 2], true})},
+      [&](int, const FaultSpec&, const FaultView& v) {
+        for (NodeId out : ced.functional_outputs) {
+          golden_rows.emplace_back(v.golden(out), v.golden(out) + words);
+          faulty_rows.emplace_back(v.faulty(out), v.faulty(out) + words);
+        }
+        const uint64_t* r1 = v.faulty(ced.error_pair.rail1);
+        const uint64_t* r2 = v.faulty(ced.error_pair.rail2);
+        z1_row.assign(r1, r1 + words);
+        z2_row.assign(r2, r2 + words);
+      });
   std::vector<const uint64_t*> golden, faulty;
-  for (NodeId out : ced.functional_outputs) {
-    golden.push_back(sim.value(out).data());
-    faulty.push_back(sim.faulty_value(out).data());
+  for (size_t o = 0; o < golden_rows.size(); ++o) {
+    golden.push_back(golden_rows[o].data());
+    faulty.push_back(faulty_rows[o].data());
   }
-  const uint64_t* z1 = sim.faulty_value(ced.error_pair.rail1).data();
-  const uint64_t* z2 = sim.faulty_value(ced.error_pair.rail2).data();
+  const uint64_t* z1 = z1_row.data();
+  const uint64_t* z2 = z2_row.data();
   const size_t outs = golden.size();
 
   VisitorSweep v;

@@ -30,48 +30,33 @@ size_t bounded_pick(SplitMix64& rng, uint64_t n) {
   return static_cast<size_t>(m >> 64);
 }
 
-CampaignOptions campaign_options(const PartialDuplicationOptions& options,
-                                 uint64_t seed) {
-  CampaignOptions copt;
-  copt.num_fault_samples = options.num_fault_samples;
-  copt.words_per_fault = options.words_per_fault;
-  copt.faults_per_batch = options.faults_per_batch;
-  copt.num_threads = options.num_threads;
-  copt.seed = seed;
-  return copt;
-}
-
-// Campaign dispatch over the configured fault model. The selection
-// accounting is fault-agnostic, so the single-stuck-at path keeps the
-// legacy bounded_pick sampler verbatim (bit-identical selections) while
-// the richer models ride the engine's stock samplers.
+// One campaign under the configured fault model; the selection accounting
+// in `visit` is fault-agnostic. kSingleStuckAt keeps its historical draw —
+// a Lemire bounded_pick over all 2N stuck-at faults — which differs from
+// make_sampler's and would change the selections; the other models use
+// the stock samplers over the logic nodes.
 void run_model_campaign(FaultSimEngine& engine, const Network& net,
                         const std::vector<StuckFault>& faults,
                         const PartialDuplicationOptions& options,
                         uint64_t seed,
-                        const std::function<void(int, const FaultView&)>& body) {
-  CampaignOptions copt = campaign_options(options, seed);
+                        const FaultSimEngine::SpecVisitor& visit) {
+  FaultSimEngine::SpecSampler sampler;
   if (options.model == FaultModel::kSingleStuckAt) {
-    auto sampler = [&faults](uint64_t sample_seed) {
+    sampler = [&faults](uint64_t sample_seed) {
       SplitMix64 rng(sample_seed);
-      return faults[bounded_pick(rng, faults.size())];
+      return FaultSpec::stuck_at(faults[bounded_pick(rng, faults.size())]);
     };
-    engine.run_campaign(copt, sampler,
-                        [&](int i, const StuckFault&, const FaultView& v) {
-                          body(i, v);
-                        });
-    return;
+  } else {
+    std::vector<NodeId> sites;
+    for (NodeId id = 0; id < net.num_nodes(); ++id) {
+      if (net.node(id).kind == NodeKind::kLogic) sites.push_back(id);
+    }
+    sampler =
+        FaultSimEngine::make_sampler(options.model, std::move(sites), options);
   }
-  std::vector<NodeId> sites;
-  for (NodeId id = 0; id < net.num_nodes(); ++id) {
-    if (net.node(id).kind == NodeKind::kLogic) sites.push_back(id);
-  }
-  copt.model = options.model;
-  copt.sites_per_fault = options.sites_per_fault;
-  copt.burst_vectors = options.burst_vectors;
-  engine.run_campaign(
-      copt, FaultSimEngine::make_sampler(options.model, std::move(sites), copt),
-      [&](int i, const FaultSpec&, const FaultView& v) { body(i, v); });
+  CampaignOptions copt = options;
+  copt.seed = seed;
+  engine.run_campaign(copt, sampler, visit);
 }
 
 // For POs ordered by rank, returns hist[k] = number of runs whose first
@@ -109,7 +94,7 @@ RankHistogram rank_histogram(const Network& net,
   std::vector<std::vector<uint64_t>> any_scratch(slots);
   run_model_campaign(
       engine, net, faults, options, options.seed,
-      [&](int i, const FaultView& v) {
+      [&](int i, const FaultSpec&, const FaultView& v) {
         int64_t* row = rows.data() + static_cast<size_t>(i) * stride;
         const int W = v.num_words();
         const uint64_t tail = v.word_mask(W - 1);
@@ -149,7 +134,7 @@ std::vector<int64_t> output_error_counts(
       static_cast<size_t>(options.num_fault_samples) * num_pos, 0);
   run_model_campaign(
       engine, net, faults, options, options.seed ^ 0xABCD,
-      [&](int i, const FaultView& v) {
+      [&](int i, const FaultSpec&, const FaultView& v) {
         int64_t* row = rows.data() + static_cast<size_t>(i) * num_pos;
         const int W = v.num_words();
         const uint64_t tail = v.word_mask(W - 1);

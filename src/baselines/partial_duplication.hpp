@@ -12,26 +12,15 @@
 
 namespace apx {
 
-struct PartialDuplicationOptions {
-  /// Fault-injection budget for ranking outputs / estimating coverage.
-  int num_fault_samples = 1000;
-  int words_per_fault = 4;
-  /// Fault model driving both selection campaigns (output ranking and
-  /// prefix coverage). kSingleStuckAt takes the exact legacy code path
-  /// (bit-identical selections); the other models use the engine's stock
-  /// samplers over the logic nodes.
-  FaultModel model = FaultModel::kSingleStuckAt;
-  /// Simultaneous stuck-at sites per sample under kMultiStuckAt.
-  int sites_per_fault = 2;
-  /// Forced vector-window length under kTransientBurst.
-  int burst_vectors = 16;
-  /// Fault samples amortizing one shared golden simulation in the
-  /// FaultSimEngine (see src/sim/fault_engine.hpp).
-  int faults_per_batch = 64;
-  /// Parallelism cap on the shared task pool; 0 = apx::thread_count()
-  /// (APX_THREADS policy). Selection is bit-identical for any value.
-  int num_threads = 0;
-  uint64_t seed = 0xD0B1;
+/// Fault-injection budget for ranking outputs and estimating prefix
+/// coverage: the engine's CampaignOptions with this baseline's defaults
+/// (1000 samples, seed 0xD0B1). `model` drives both selection campaigns;
+/// selection is bit-identical for any num_threads.
+struct PartialDuplicationOptions : CampaignOptions {
+  PartialDuplicationOptions() {
+    num_fault_samples = 1000;
+    seed = 0xD0B1;
+  }
 };
 
 struct PartialDuplicationResult {

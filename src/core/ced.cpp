@@ -122,15 +122,6 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
     return result;
   }
   FaultSimEngine engine(ced.design);
-  CampaignOptions copt;
-  copt.num_fault_samples = options.num_fault_samples;
-  copt.words_per_fault = options.words_per_fault;
-  copt.vectors_per_fault = options.vectors_per_fault;
-  copt.faults_per_batch = options.faults_per_batch;
-  copt.num_threads = options.num_threads;
-  copt.seed = options.seed;
-
-  const std::vector<NodeId>& sites = ced.functional_nodes;
 
   // Per-sample slots: pool workers write disjoint rows, reduced in sample
   // order afterwards (ordered merge), so counts are bit-identical for any
@@ -148,7 +139,7 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
   // every fault model — only the sampler differs.
   const int slots = resolve_thread_option(options.num_threads);
   std::vector<std::vector<uint64_t>> err_scratch(slots);
-  auto account = [&](int i, const FaultView& v) {
+  auto account = [&](int i, const FaultSpec&, const FaultView& v) {
     Row& row = rows[i];
     const int W = v.num_words();
     const uint64_t tail = v.word_mask(W - 1);
@@ -163,33 +154,16 @@ CoverageResult evaluate_ced_coverage(const CedDesign& ced,
     row.erroneous += erroneous;
     row.detected += erroneous - popcount_xor_and(z1, z2, err.data(), W, tail);
   };
-  if (options.model == FaultModel::kSingleStuckAt) {
-    // The legacy uniform stuck-at sampler, verbatim: campaigns under the
-    // default model reproduce historical results bit for bit.
-    auto sampler = [&sites](uint64_t sample_seed) {
-      SplitMix64 rng(sample_seed);
-      NodeId site = sites[rng.next() % sites.size()];
-      return StuckFault{site, static_cast<bool>(rng.next() & 1)};
-    };
-    engine.run_campaign(
-        copt, sampler,
-        [&](int i, const StuckFault&, const FaultView& v) { account(i, v); });
-  } else {
-    copt.model = options.model;
-    copt.sites_per_fault = options.sites_per_fault;
-    copt.burst_vectors = options.burst_vectors;
-    engine.run_campaign(
-        copt, FaultSimEngine::make_sampler(options.model, sites, copt),
-        [&](int i, const FaultSpec&, const FaultView& v) { account(i, v); });
-  }
+  engine.run_campaign(options,
+                      FaultSimEngine::make_sampler(
+                          options.model, ced.functional_nodes, options),
+                      account);
   for (const Row& row : rows) {
     result.erroneous += row.erroneous;
     result.detected += row.detected;
   }
-  const int64_t vectors = options.vectors_per_fault > 0
-                              ? options.vectors_per_fault
-                              : static_cast<int64_t>(options.words_per_fault) * 64;
-  result.runs = static_cast<int64_t>(options.num_fault_samples) * vectors;
+  result.runs =
+      static_cast<int64_t>(options.num_fault_samples) * options.vectors();
   return result;
 }
 

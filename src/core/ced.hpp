@@ -70,31 +70,12 @@ struct CoverageResult {
   }
 };
 
-struct CoverageOptions {
-  int num_fault_samples = 2000;
-  int words_per_fault = 4;
-  /// Pattern vectors per fault. 0 (default) = words_per_fault * 64; a
-  /// positive value overrides words_per_fault and need not be a multiple
-  /// of 64 — padding bits of the final partial word are masked out of both
-  /// the engine's detection decisions and the coverage accounting.
-  int vectors_per_fault = 0;
-  /// Fault model injected over the functional gates. kSingleStuckAt takes
-  /// the exact legacy code path (bit-identical results); the other models
-  /// use the engine's stock samplers (FaultSimEngine::make_sampler) with
-  /// the two knobs below.
-  FaultModel model = FaultModel::kSingleStuckAt;
-  /// Simultaneous stuck-at sites per sample under kMultiStuckAt.
-  int sites_per_fault = 2;
-  /// Forced vector-window length under kTransientBurst.
-  int burst_vectors = 16;
-  /// Fault samples amortizing one shared golden simulation in the
-  /// FaultSimEngine (see src/sim/fault_engine.hpp).
-  int faults_per_batch = 64;
-  /// Parallelism cap on the shared task pool; 0 = apx::thread_count()
-  /// (APX_THREADS policy). Counts are bit-identical for any value
-  /// (deterministic per-sample seeds, per-sample result slots).
-  int num_threads = 0;
-  uint64_t seed = 0xCED;
+/// Coverage campaign knobs: the engine's CampaignOptions with the coverage
+/// seed. `model` picks the stock sampler (FaultSimEngine::make_sampler)
+/// drawing over the functional gates; counts are bit-identical for any
+/// num_threads, and vectors_per_fault need not be a multiple of 64.
+struct CoverageOptions : CampaignOptions {
+  CoverageOptions() { seed = 0xCED; }
 };
 
 CoverageResult evaluate_ced_coverage(const CedDesign& ced,

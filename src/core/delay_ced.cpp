@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <random>
 
+#include "sim/fault_engine.hpp"
 #include "sim/kernels.hpp"
 
 namespace apx {
@@ -17,7 +18,11 @@ CoverageResult evaluate_delay_fault_coverage(
   }
   if (sites.empty()) return result;
   std::mt19937_64 rng(options.seed);
-  TransitionSimulator sim(ced.design);
+  // Each sample is one engine site on the capture patterns, gated by the
+  // launch frame (sim/transition_fault.hpp).
+  Simulator launch_sim(net);
+  FaultSimEngine engine(net);
+  std::vector<uint64_t> gate;
 
   const int W = options.words_per_fault;
   std::vector<uint64_t> err_row(W);
@@ -26,22 +31,27 @@ CoverageResult evaluate_delay_fault_coverage(
     TransitionFault fault{site, static_cast<bool>(rng() & 1)};
     PatternSet launch = PatternSet::random(net.num_pis(), W, rng());
     PatternSet capture = PatternSet::random(net.num_pis(), W, rng());
-    sim.run(launch, capture);
-    sim.inject(fault);
-    const WordSpan z1 = sim.faulty_value(ced.error_pair.rail1);
-    const WordSpan z2 = sim.faulty_value(ced.error_pair.rail2);
-    std::fill(err_row.begin(), err_row.end(), 0);
-    for (NodeId out : ced.functional_outputs) {
-      accumulate_xor_or(err_row.data(), sim.value(out).data(),
-                        sim.faulty_value(out).data(), W);
-    }
-    // The rails agree exactly where the checker flags the fault, so
-    // detected = |err| - |(z1 ^ z2) & err|.
-    const int64_t erroneous = popcount_words(err_row.data(), W, ~0ULL);
-    result.erroneous += erroneous;
-    result.detected +=
-        erroneous - popcount_xor_and(z1.data(), z2.data(), err_row.data(), W,
-                                     ~0ULL);
+    launch_sim.run(launch);
+    FaultSpec spec;
+    spec.add(transition_site(fault, launch_sim.value(site), gate));
+    engine.run_batch(
+        capture, {spec},
+        [&](int, const FaultSpec&, const FaultView& v) {
+          std::fill(err_row.begin(), err_row.end(), 0);
+          for (NodeId out : ced.functional_outputs) {
+            accumulate_xor_or(err_row.data(), v.golden(out), v.faulty(out),
+                              W);
+          }
+          // The rails agree exactly where the checker flags the fault, so
+          // detected = |err| - |(z1 ^ z2) & err|.
+          const int64_t erroneous = popcount_words(err_row.data(), W, ~0ULL);
+          result.erroneous += erroneous;
+          result.detected +=
+              erroneous - popcount_xor_and(v.faulty(ced.error_pair.rail1),
+                                           v.faulty(ced.error_pair.rail2),
+                                           err_row.data(), W, ~0ULL);
+        },
+        /*num_threads=*/1);
     result.runs += 64ll * W;
   }
   return result;

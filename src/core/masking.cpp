@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <random>
 
+#include "sim/fault_engine.hpp"
 #include "sim/kernels.hpp"
-#include "sim/simulator.hpp"
 
 namespace apx {
 
@@ -60,7 +60,7 @@ MaskingResult evaluate_masking(const MaskingDesign& design,
   const CedDesign& ced = design.ced;
   if (ced.functional_nodes.empty()) return result;
   std::mt19937_64 rng(options.seed);
-  Simulator sim(ced.design);
+  FaultSimEngine engine(ced.design);
 
   const int W = options.words_per_fault;
   std::vector<uint64_t> raw_row(W), masked_row(W);
@@ -68,20 +68,22 @@ MaskingResult evaluate_masking(const MaskingDesign& design,
     NodeId site = ced.functional_nodes[rng() % ced.functional_nodes.size()];
     StuckFault fault{site, static_cast<bool>(rng() & 1)};
     PatternSet patterns = PatternSet::random(ced.design.num_pis(), W, rng());
-    sim.run(patterns);
-    sim.inject(fault);
-    std::fill(raw_row.begin(), raw_row.end(), 0);
-    std::fill(masked_row.begin(), masked_row.end(), 0);
-    for (size_t o = 0; o < ced.functional_outputs.size(); ++o) {
-      NodeId y = ced.functional_outputs[o];
-      NodeId m = design.masked_outputs[o];
-      accumulate_xor_or(raw_row.data(), sim.value(y).data(),
-                        sim.faulty_value(y).data(), W);
-      // The corrected output is judged against the fault-free *raw*
-      // function (the masked output equals it in fault-free operation).
-      accumulate_xor_or(masked_row.data(), sim.value(y).data(),
-                        sim.faulty_value(m).data(), W);
-    }
+    engine.run_batch(
+        patterns, {FaultSpec::stuck_at(fault)},
+        [&](int, const FaultSpec&, const FaultView& v) {
+          std::fill(raw_row.begin(), raw_row.end(), 0);
+          std::fill(masked_row.begin(), masked_row.end(), 0);
+          for (size_t o = 0; o < ced.functional_outputs.size(); ++o) {
+            NodeId y = ced.functional_outputs[o];
+            NodeId m = design.masked_outputs[o];
+            accumulate_xor_or(raw_row.data(), v.golden(y), v.faulty(y), W);
+            // The corrected output is judged against the fault-free *raw*
+            // function (the masked output equals it in fault-free
+            // operation).
+            accumulate_xor_or(masked_row.data(), v.golden(y), v.faulty(m), W);
+          }
+        },
+        /*num_threads=*/1);
     result.raw_errors += popcount_words(raw_row.data(), W, ~0ULL);
     result.masked_errors += popcount_words(masked_row.data(), W, ~0ULL);
     result.runs += 64ll * W;

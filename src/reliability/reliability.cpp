@@ -15,49 +15,30 @@ ReliabilityReport analyze_reliability(const Network& net,
     return report;
   }
 
-  FaultSimEngine engine(net);
-  CampaignOptions copt;
-  copt.num_fault_samples = options.num_fault_samples;
-  copt.words_per_fault = options.words_per_fault;
-  copt.faults_per_batch = options.faults_per_batch;
-  copt.num_threads = options.num_threads;
-  copt.seed = options.seed;
-  auto sampler = [&faults](uint64_t sample_seed) {
-    return faults[SplitMix64(sample_seed).next() % faults.size()];
-  };
-  // Model dispatch: both passes replay the identical sample stream, so the
-  // fault-agnostic accounting bodies below are shared; only the sampler
-  // (and the visitor's fault type) changes with the model.
-  FaultSimEngine::SpecSampler spec_sampler;
-  if (options.model != FaultModel::kSingleStuckAt) {
+  // kSingleStuckAt keeps its historical draw — faults[r % 2N] from a
+  // single SplitMix64 word — which differs from make_sampler's site-then-
+  // polarity draw; the other models use the stock samplers over the logic
+  // nodes. Both passes below replay the identical sample stream.
+  FaultSimEngine::SpecSampler sampler;
+  if (options.model == FaultModel::kSingleStuckAt) {
+    sampler = [&faults](uint64_t sample_seed) {
+      return FaultSpec::stuck_at(
+          faults[SplitMix64(sample_seed).next() % faults.size()]);
+    };
+  } else {
     std::vector<NodeId> site_nodes;
     for (NodeId id = 0; id < net.num_nodes(); ++id) {
       if (net.node(id).kind == NodeKind::kLogic) site_nodes.push_back(id);
     }
-    copt.model = options.model;
-    copt.sites_per_fault = options.sites_per_fault;
-    copt.burst_vectors = options.burst_vectors;
-    spec_sampler = FaultSimEngine::make_sampler(options.model,
-                                                std::move(site_nodes), copt);
+    sampler = FaultSimEngine::make_sampler(options.model,
+                                           std::move(site_nodes), options);
   }
-  auto run_pass = [&](const std::function<void(int, const FaultView&)>& body) {
-    if (options.model == FaultModel::kSingleStuckAt) {
-      engine.run_campaign(copt, sampler,
-                          [&](int i, const StuckFault&, const FaultView& v) {
-                            body(i, v);
-                          });
-    } else {
-      engine.run_campaign(copt, spec_sampler,
-                          [&](int i, const FaultSpec&, const FaultView& v) {
-                            body(i, v);
-                          });
-    }
-  };
+  FaultSimEngine engine(net);
 
   const int P = net.num_pos();
   const int slots = resolve_thread_option(options.num_threads);
-  const int64_t runs = static_cast<int64_t>(options.num_fault_samples) *
-                       options.words_per_fault * 64;
+  const int64_t runs =
+      static_cast<int64_t>(options.num_fault_samples) * options.vectors();
 
   // Lock-free accumulation: each pool slot owns a private row of exact
   // integer counters (strided to its slot index), merged in slot order
@@ -75,7 +56,8 @@ ReliabilityReport analyze_reliability(const Network& net,
   // Per-worker "some PO differs" rows: e01 | e10 == g ^ f, folded across
   // outputs by the accumulate kernel and counted once per sample.
   std::vector<std::vector<uint64_t>> any_scratch(slots);
-  run_pass([&](int, const FaultView& v) {
+  engine.run_campaign(options, sampler, [&](int, const FaultSpec&,
+                                            const FaultView& v) {
     const int slot = v.worker_slot();
     int64_t* c01 = &slot01[static_cast<size_t>(slot) * P];
     int64_t* c10 = &slot10[static_cast<size_t>(slot) * P];
@@ -116,7 +98,8 @@ ReliabilityReport analyze_reliability(const Network& net,
   // Pass 2, identical sample stream: count runs where some PO erred in its
   // dominant (protected) direction.
   std::vector<int64_t> slot_dominant(slots, 0);
-  run_pass([&](int, const FaultView& v) {
+  engine.run_campaign(options, sampler, [&](int, const FaultSpec&,
+                                            const FaultView& v) {
     const int slot = v.worker_slot();
     const int W = v.num_words();
     std::vector<uint64_t>& dom_row = any_scratch[slot];

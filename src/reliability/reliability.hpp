@@ -57,28 +57,12 @@ struct ReliabilityReport {
   int64_t runs = 0;
 };
 
-struct ReliabilityOptions {
-  /// Number of (fault, 64-vector-word) batches to sample. Total runs =
-  /// batches * 64 * vectors_words... kept simple: runs = batches * 64.
-  int num_fault_samples = 2000;
-  /// Words of random vectors per sampled fault (64 vectors per word).
-  int words_per_fault = 4;
-  /// Fault model driving the error-rate campaign. kSingleStuckAt takes the
-  /// exact legacy code path (bit-identical results); the other models use
-  /// the engine's stock samplers over the logic nodes.
-  FaultModel model = FaultModel::kSingleStuckAt;
-  /// Simultaneous stuck-at sites per sample under kMultiStuckAt.
-  int sites_per_fault = 2;
-  /// Forced vector-window length under kTransientBurst.
-  int burst_vectors = 16;
-  /// Fault samples amortizing one shared golden simulation in the
-  /// FaultSimEngine (see src/sim/fault_engine.hpp).
-  int faults_per_batch = 64;
-  /// Parallelism cap on the shared task pool; 0 = apx::thread_count()
-  /// (APX_THREADS policy). Results are bit-identical for any value.
-  int num_threads = 0;
-  uint64_t seed = 0x5EED;
-};
+/// Error-rate campaign knobs: the engine's CampaignOptions as they are.
+/// Each of `num_fault_samples` sampled faults is simulated against
+/// `vectors()` random input vectors, so ReliabilityReport::runs =
+/// num_fault_samples * vectors(). `model` picks the fault model over the
+/// logic nodes; results are bit-identical for any num_threads.
+struct ReliabilityOptions : CampaignOptions {};
 
 /// Runs Monte-Carlo fault injection on `net` and aggregates per-output
 /// error-direction statistics.

@@ -1,7 +1,6 @@
 #include "sim/fault_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -58,7 +57,7 @@ struct FaultSimEngine::Worker {
 };
 
 FaultSimEngine::FaultSimEngine(const Network& net)
-    : net_(net), view_(net.topology()) {
+    : net_(net), view_(net.topology()), golden_(net) {
   observable_.assign(net.num_nodes(), 0);
   for (NodeId id = 0; id < net.num_nodes(); ++id) {
     if (!view_->fanouts(id).empty()) observable_[id] = 1;
@@ -69,7 +68,7 @@ FaultSimEngine::FaultSimEngine(const Network& net)
 }
 
 bool FaultSimEngine::is_live_site(NodeId node, bool stuck_value) const {
-  if (node == kNullNode || node >= net_.num_nodes()) return false;
+  if (node < 0 || node >= net_.num_nodes()) return false;
   const NodeKind kind = net_.node(node).kind;
   if (kind == NodeKind::kConst0 && !stuck_value) return false;
   if (kind == NodeKind::kConst1 && stuck_value) return false;
@@ -85,7 +84,7 @@ bool FaultSimEngine::validate_spec(const FaultSpec& spec,
   bool live = true;
   for (int s = 0; s < spec.num_sites; ++s) {
     const FaultSite& site = spec.sites[s];
-    if (site.node == kNullNode || site.node >= net_.num_nodes()) {
+    if (site.node < 0 || site.node >= net_.num_nodes()) {
       throw std::logic_error(
           "FaultSimEngine: sampler returned an out-of-range fault site");
     }
@@ -110,9 +109,6 @@ bool FaultSimEngine::validate_spec(const FaultSpec& spec,
 FaultSimEngine::~FaultSimEngine() = default;
 
 void FaultSimEngine::run_golden(const PatternSet& patterns, int num_vectors) {
-  if (patterns.num_pis() != net_.num_pis()) {
-    throw std::logic_error("FaultSimEngine: PI count mismatch");
-  }
   const int total = patterns.num_words() * 64;
   if (num_vectors <= 0) num_vectors = total;
   if (num_vectors > total) {
@@ -126,96 +122,15 @@ void FaultSimEngine::run_golden(const PatternSet& patterns, int num_vectors) {
     batches.add(1);
     words.add(patterns.num_words());
   }
+  golden_.run(patterns);
   num_words_ = patterns.num_words();
   num_vectors_ = num_vectors;
   tail_mask_ = (num_vectors % 64) != 0
                    ? (1ULL << (num_vectors % 64)) - 1
                    : ~0ULL;
-  const int W = num_words_;
-  if (golden_.rows() != net_.num_nodes() || golden_.words() != W) {
-    golden_.reset(net_.num_nodes(), W);
-  }
-  for (int i = 0; i < net_.num_pis(); ++i) {
-    std::memcpy(golden_.row(net_.pis()[i]), patterns.column(i).data(),
-                sizeof(uint64_t) * W);
-  }
-  std::vector<const uint64_t*> fanin;
-  for (NodeId id : view_->topo()) {
-    const Node& n = net_.node(id);
-    uint64_t* out = golden_.row(id);
-    switch (n.kind) {
-      case NodeKind::kPi:
-        break;
-      case NodeKind::kConst0:
-        std::fill(out, out + W, 0ULL);
-        break;
-      case NodeKind::kConst1:
-        std::fill(out, out + W, ~0ULL);
-        break;
-      case NodeKind::kLogic: {
-        fanin.clear();
-        fanin.reserve(n.fanins.size());
-        for (NodeId f : n.fanins) fanin.push_back(golden_.row(f));
-        eval_sop_words(n.sop, fanin.data(), W, out);
-        break;
-      }
-    }
-  }
 }
 
-void FaultSimEngine::simulate_fault(Worker& w, const StuckFault& fault) const {
-  const int W = num_words_;
-  if (++w.epoch == 0) {
-    // uint32 epoch wrapped: old marks would alias the fresh epoch.
-    std::fill(w.valid.begin(), w.valid.end(), 0u);
-    std::fill(w.queued.begin(), w.queued.end(), 0u);
-    w.epoch = 1;
-  }
-  const uint32_t epoch = w.epoch;
-  const uint64_t forced = fault.stuck_value ? ~0ULL : 0ULL;
-  uint64_t* fv = w.values.row(fault.node);
-  const uint64_t* gv = golden_.row(fault.node);
-  std::fill(fv, fv + W, forced);
-  // Fault value equals golden on every valid pattern: nothing can
-  // propagate (padding bits of the final word never excite a fault).
-  if (!rows_differ(fv, gv, W, tail_mask_)) return;
-  w.valid[fault.node] = epoch;
-
-  const TopologyView& view = *view_;
-  auto schedule = [&](NodeId id) {
-    if (w.queued[id] != epoch) {
-      w.queued[id] = epoch;
-      w.buckets[view.level(id)].push_back(id);
-    }
-  };
-  for (NodeId o : view.fanouts(fault.node)) schedule(o);
-
-  const int max_level = view.max_level();
-  for (int lvl = view.level(fault.node) + 1; lvl <= max_level; ++lvl) {
-    auto& bucket = w.buckets[lvl];
-    for (NodeId id : bucket) {
-      const Node& n = net_.node(id);
-      w.fanin.clear();
-      for (NodeId f : n.fanins) {
-        w.fanin.push_back(w.valid[f] == epoch ? w.values.row(f)
-                                              : golden_.row(f));
-      }
-      uint64_t* out = w.values.row(id);
-      eval_sop_words(n.sop, w.fanin.data(), W, out);
-      // Faulty value collapsed back to golden on every valid pattern: the
-      // event dies here (padding differences cannot keep it alive).
-      if (!rows_differ(out, golden_.row(id), W, tail_mask_)) continue;
-      w.valid[id] = epoch;
-      for (NodeId o : view.fanouts(id)) schedule(o);
-    }
-    bucket.clear();
-  }
-}
-
-// Generalized injection. For a single permanent site this walks the exact
-// schedule of the StuckFault overload (the extra `queued` pin on the site
-// is never consulted in a DAG), so the single-stuck-at path is
-// byte-identical to the legacy engine.
+// Event-driven injection of one FaultSpec into worker `w`'s faulty plane.
 void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
   const int W = num_words_;
   if (++w.epoch == 0) {
@@ -230,7 +145,8 @@ void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
   // Pin every site before seeding: a site's row is forced below and must
   // never be re-evaluated by the cone walk, even when it lies inside
   // another site's fanout cone — a stuck site blocks propagation through
-  // itself, and a transient site holds golden outside its burst window.
+  // itself, and a transient or gated site holds golden outside its
+  // forced vectors.
   // Pinning also makes the event schedule a pure function of the spec
   // (site order, then CSR fanout order), independent of threads.
   for (int s = 0; s < spec.num_sites; ++s) {
@@ -250,13 +166,15 @@ void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
     const FaultSite& site = spec.sites[s];
     const uint64_t forced = site.stuck_value ? ~0ULL : 0ULL;
     uint64_t* fv = w.values.row(site.node);
-    const uint64_t* gv = golden_.row(site.node);
-    if (!site.transient) {
+    const uint64_t* gv = golden(site.node);
+    if (!site.transient && site.gate == nullptr) {
       std::fill(fv, fv + W, forced);
     } else {
       for (int word = 0; word < W; ++word) {
-        const uint64_t m =
-            window_word_mask(site.burst_start, site.burst_length, word);
+        uint64_t m = site.transient ? window_word_mask(site.burst_start,
+                                                       site.burst_length, word)
+                                    : ~0ULL;
+        if (site.gate != nullptr) m &= site.gate[word];
         fv[word] = (gv[word] & ~m) | (forced & m);
       }
     }
@@ -277,14 +195,13 @@ void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
       const Node& n = net_.node(id);
       w.fanin.clear();
       for (NodeId f : n.fanins) {
-        w.fanin.push_back(w.valid[f] == epoch ? w.values.row(f)
-                                              : golden_.row(f));
+        w.fanin.push_back(w.valid[f] == epoch ? w.values.row(f) : golden(f));
       }
       uint64_t* out = w.values.row(id);
       eval_sop_words(n.sop, w.fanin.data(), W, out);
       // Faulty value collapsed back to golden on every valid pattern: the
       // event dies here (padding differences cannot keep it alive).
-      if (!rows_differ(out, golden_.row(id), W, tail_mask_)) continue;
+      if (!rows_differ(out, golden(id), W, tail_mask_)) continue;
       w.valid[id] = epoch;
       for (NodeId o : view.fanouts(id)) schedule(o);
     }
@@ -294,13 +211,13 @@ void FaultSimEngine::simulate_fault(Worker& w, const FaultSpec& spec) const {
 
 FaultView FaultSimEngine::view_of(const Worker& w, int slot) const {
   FaultView v;
-  v.golden_ = golden_.row(0);
+  v.golden_ = golden_.values().row(0);
   v.values_ = w.values.row(0);
   v.valid_ = w.valid.data();
   v.epoch_ = w.epoch;
   v.num_words_ = num_words_;
   v.num_vectors_ = num_vectors_;
-  v.stride_ = golden_.stride();
+  v.stride_ = golden_.values().stride();
   v.tail_mask_ = tail_mask_;
   v.worker_slot_ = slot;
   return v;
@@ -342,37 +259,15 @@ void FaultSimEngine::parallel_for(
       });
 }
 
-// The legacy StuckFault campaign rides the FaultSpec core: the wrapper
-// sampler produces single permanent sites, whose injection is
-// byte-identical to the original single-stuck-at engine (see
-// simulate_fault above), and the wrapper visitor hands the site back as a
-// StuckFault. Seed schedule, batch geometry and dead-site policy are the
-// spec core's.
-void FaultSimEngine::run_campaign(const CampaignOptions& options,
-                                  const Sampler& sampler,
-                                  const Visitor& visit) {
-  run_campaign(
-      options,
-      SpecSampler([&sampler](uint64_t sample_seed) {
-        return FaultSpec::stuck_at(sampler(sample_seed));
-      }),
-      SpecVisitor([&visit](int i, const FaultSpec& f, const FaultView& v) {
-        visit(i, StuckFault{f.sites[0].node, f.sites[0].stuck_value}, v);
-      }));
-}
-
 void FaultSimEngine::run_campaign(const CampaignOptions& options,
                                   const SpecSampler& sampler,
                                   const SpecVisitor& visit) {
-  if ((options.words_per_fault <= 0 && options.vectors_per_fault <= 0) ||
-      options.faults_per_batch <= 0) {
+  if (options.vectors() <= 0 || options.faults_per_batch <= 0) {
     throw std::invalid_argument(
         "FaultSimEngine::run_campaign: non-positive batch geometry");
   }
   trace::Span span("faultsim.campaign");
-  const int vectors = options.vectors_per_fault > 0
-                          ? options.vectors_per_fault
-                          : options.words_per_fault * 64;
+  const int vectors = options.vectors();
   const int words = (vectors + 63) / 64;
   const int samples = options.num_fault_samples;
   if (samples <= 0) return;
@@ -426,19 +321,6 @@ void FaultSimEngine::run_campaign(const CampaignOptions& options,
 }
 
 void FaultSimEngine::run_batch(const PatternSet& patterns,
-                               const std::vector<StuckFault>& faults,
-                               const Visitor& visit, int num_threads,
-                               int num_vectors) {
-  run_golden(patterns, num_vectors);
-  const int threads = resolve_thread_option(num_threads);
-  parallel_for(0, static_cast<int>(faults.size()), threads,
-               [&](Worker& w, int slot, int i) {
-                 simulate_fault(w, faults[i]);
-                 visit(i, faults[i], view_of(w, slot));
-               });
-}
-
-void FaultSimEngine::run_batch(const PatternSet& patterns,
                                const std::vector<FaultSpec>& faults,
                                const SpecVisitor& visit, int num_threads,
                                int num_vectors) {
@@ -461,14 +343,9 @@ FaultSimEngine::SpecSampler FaultSimEngine::make_sampler(
     throw std::invalid_argument(
         "FaultSimEngine::make_sampler: empty site list");
   }
-  const int vectors = options.vectors_per_fault > 0
-                          ? options.vectors_per_fault
-                          : options.words_per_fault * 64;
+  const int vectors = options.vectors();
   switch (model) {
     case FaultModel::kSingleStuckAt:
-      // Exactly the legacy uniform stuck-at sampler (same SplitMix64 draw
-      // order), so campaigns through this sampler reproduce historical
-      // single-fault results bit for bit.
       return [sites = std::move(sites)](uint64_t sample_seed) {
         SplitMix64 rng(sample_seed);
         const NodeId node = sites[rng.next() % sites.size()];
@@ -521,58 +398,6 @@ FaultSimEngine::SpecSampler FaultSimEngine::make_sampler(
     }
   }
   throw std::invalid_argument("FaultSimEngine::make_sampler: unknown model");
-}
-
-DetectionReport FaultSimEngine::detect_faults(
-    const std::vector<StuckFault>& faults, const std::vector<NodeId>& observe,
-    const DetectOptions& options) {
-  DetectionReport report;
-  report.detected.assign(faults.size(), 0);
-  report.detecting_batch.assign(faults.size(), -1);
-  if (faults.empty() || observe.empty() || options.max_words <= 0) {
-    return report;
-  }
-  const int wpb = std::max(1, std::min(options.words_per_batch,
-                                       options.max_words));
-  const int num_batches = (options.max_words + wpb - 1) / wpb;
-  const int threads = resolve_thread_option(options.num_threads);
-
-  std::vector<int> alive(faults.size());
-  for (size_t i = 0; i < faults.size(); ++i) alive[i] = static_cast<int>(i);
-
-  for (int b = 0; b < num_batches && !alive.empty(); ++b) {
-    PatternSet patterns = PatternSet::random(
-        net_.num_pis(), wpb,
-        derive_seed(options.seed ^ kPatternStream, static_cast<uint64_t>(b)));
-    run_golden(patterns, 0);
-    std::vector<uint8_t> hit(alive.size(), 0);
-    parallel_for(0, static_cast<int>(alive.size()), threads,
-                 [&](Worker& w, int slot, int j) {
-                   simulate_fault(w, faults[alive[j]]);
-                   FaultView v = view_of(w, slot);
-                   for (NodeId obs : observe) {
-                     // touched() holds exactly when faulty != golden on
-                     // some pattern — i.e. the fault is detected at obs.
-                     if (v.touched(obs)) {
-                       hit[j] = 1;
-                       break;
-                     }
-                   }
-                 });
-    report.fault_batch_evals += static_cast<int64_t>(alive.size());
-    std::vector<int> still_alive;
-    still_alive.reserve(alive.size());
-    for (size_t j = 0; j < alive.size(); ++j) {
-      if (hit[j]) {
-        report.detected[alive[j]] = 1;
-        report.detecting_batch[alive[j]] = b;
-      } else {
-        still_alive.push_back(alive[j]);
-      }
-    }
-    alive.swap(still_alive);  // fault dropping
-  }
-  return report;
 }
 
 }  // namespace apx

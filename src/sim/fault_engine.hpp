@@ -1,5 +1,6 @@
-// Shared-pattern, multi-threaded fault-simulation engine (single and
-// multi-site stuck-at faults, plus burst-transient faults).
+// Shared-pattern, multi-threaded fault-simulation engine: the one fault
+// injector of the library (single and multi-site stuck-at faults,
+// burst-transient faults, and launch-gated transition faults).
 //
 // The measurement loops behind the paper's headline numbers (CED coverage,
 // per-output error rates) sample thousands of (fault, vector-batch) pairs.
@@ -27,12 +28,15 @@
 //     (vectors_per_fault): the final partial word's padding bits are
 //     masked out of excitation, propagation-death, and detection checks,
 //     so they can never count toward coverage;
-//   * fault models beyond single stuck-at ride the same walk: a FaultSpec
-//     seeds every site's row up front (transient sites force only their
-//     burst window's bits, keeping golden elsewhere) and schedules the
-//     union of the sites' fanouts; site rows are pinned for the batch so
-//     the walk never re-evaluates them, which keeps the schedule — and
-//     hence the results — independent of thread count and visit order.
+//   * every fault model rides the same walk: a FaultSpec seeds every
+//     site's row up front (transient and gated sites force only their
+//     burst window's / gate's bits, keeping golden elsewhere) and
+//     schedules the union of the sites' fanouts; site rows are pinned for
+//     the batch so the walk never re-evaluates them, which keeps the
+//     schedule — and hence the results — independent of thread count and
+//     visit order;
+//   * the golden plane is computed by Simulator::run, the library's one
+//     fault-free evaluator.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +51,8 @@
 
 namespace apx {
 
-/// Fault models a campaign can sample from. All three ride the same
-/// event-driven substrate; kSingleStuckAt takes the exact code path the
-/// original single-fault engine used (bit-identical results).
+/// Fault models the stock samplers draw from (make_sampler). All three
+/// ride the same event-driven substrate.
 enum class FaultModel {
   kSingleStuckAt,   ///< one permanent stuck-at site per sample
   kMultiStuckAt,    ///< `sites_per_fault` simultaneous stuck-at sites
@@ -62,17 +65,25 @@ const char* fault_model_name(FaultModel model);
 /// `stuck_value` on every pattern vector; a transient site forces it only
 /// on vectors [burst_start, burst_start + burst_length) and carries the
 /// golden value everywhere else.
+///
+/// `gate`, when set, further restricts the forced vectors to those whose
+/// gate bit is 1 (the site carries golden elsewhere). It is part of the
+/// fault's description, not a tuning knob: a transition fault is a
+/// stuck-at gated by its launch condition (see transition_site in
+/// sim/transition_fault.hpp). The caller owns the words; they must cover
+/// the batch's pattern words and outlive the engine call injecting the
+/// site.
 struct FaultSite {
   NodeId node = kNullNode;
   bool stuck_value = false;
   bool transient = false;
   int32_t burst_start = 0;
   int32_t burst_length = 0;
+  const uint64_t* gate = nullptr;
 };
 
 /// A sampled fault: up to kMaxSites simultaneous sites. Plain value type;
-/// construct single stuck-ats through the factory (deliberately no implicit
-/// StuckFault conversion, so the legacy overloads stay unambiguous).
+/// construct single stuck-ats through the factory.
 struct FaultSpec {
   static constexpr int kMaxSites = 4;
 
@@ -97,7 +108,7 @@ struct FaultSpec {
 /// such samples wastes campaign budget and quietly deflates error rates.
 enum class DeadSitePolicy {
   /// Throw std::logic_error naming the sample (default: samplers are
-  /// expected to draw from live gate-level sites; see the Sampler docs).
+  /// expected to draw from live gate-level sites; see SpecSampler).
   kReject,
   /// Re-invoke the sampler with deterministically re-derived seeds until a
   /// live spec appears (bit-identical for any thread count; throws after
@@ -181,6 +192,12 @@ struct CampaignOptions {
   int num_threads = 0;
   uint64_t seed = 0x5EED;
 
+  /// Pattern vectors each sample is simulated against: vectors_per_fault
+  /// when positive, else words_per_fault * 64.
+  int vectors() const {
+    return vectors_per_fault > 0 ? vectors_per_fault : words_per_fault * 64;
+  }
+
   /// Fault model the stock samplers draw from (make_sampler). The engine
   /// core is model-agnostic — a campaign's model is whatever its sampler
   /// returns; these knobs parameterize the stock samplers only.
@@ -195,40 +212,12 @@ struct CampaignOptions {
   DeadSitePolicy dead_sites = DeadSitePolicy::kReject;
 };
 
-/// Options for detect_faults (fault-dropping coverage of a fault list).
-struct DetectOptions {
-  /// Pattern budget per fault, in 64-bit words.
-  int max_words = 64;
-  /// Words per shared golden batch; faults detected in an early batch are
-  /// dropped from all later batches.
-  int words_per_batch = 8;
-  /// Parallelism cap on the shared task pool; 0 = apx::thread_count().
-  int num_threads = 0;
-  uint64_t seed = 0xD7EC7;
-};
-
-/// detect_faults result. `fault_batch_evals` counts (fault, batch) pairs
-/// actually simulated — with dropping this is far below
-/// faults * ceil(max_words / words_per_batch).
-struct DetectionReport {
-  std::vector<uint8_t> detected;
-  /// Batch index at which each fault was first detected, -1 if never.
-  std::vector<int32_t> detecting_batch;
-  int64_t fault_batch_evals = 0;
-
-  int64_t num_detected() const {
-    int64_t n = 0;
-    for (uint8_t d : detected) n += d;
-    return n;
-  }
-};
-
 /// Bit-parallel fault-simulation engine over a fixed network.
 ///
-/// Thread-safety: run_campaign / run_batch / detect_faults are themselves
-/// not reentrant (one campaign at a time per engine), but they invoke the
-/// visitor concurrently from worker threads — a visitor must only touch
-/// state owned by its sample index (or synchronize explicitly).
+/// Thread-safety: run_campaign / run_batch are themselves not reentrant
+/// (one campaign at a time per engine), but they invoke the visitor
+/// concurrently from worker threads — a visitor must only touch state
+/// owned by its sample index (or synchronize explicitly).
 class FaultSimEngine {
  public:
   explicit FaultSimEngine(const Network& net);
@@ -243,30 +232,18 @@ class FaultSimEngine {
   /// are observable (have fanouts or drive a PO) and, for constants, the
   /// opposite polarity. Dead sites can never produce an erroneous run;
   /// CampaignOptions::dead_sites picks what the engine does with them.
-  using Sampler = std::function<StuckFault(uint64_t sample_seed)>;
-  /// Called exactly once per sample with that fault's view of its batch.
-  using Visitor =
-      std::function<void(int sample_index, const StuckFault& fault,
-                         const FaultView& view)>;
-
-  /// Generalized forms over FaultSpec (multi-site / transient faults).
-  /// Same purity and liveness contract as Sampler, for every site.
   using SpecSampler = std::function<FaultSpec(uint64_t sample_seed)>;
+  /// Called exactly once per sample with that fault's view of its batch.
   using SpecVisitor = std::function<void(
       int sample_index, const FaultSpec& fault, const FaultView& view)>;
 
   /// Runs a Monte-Carlo campaign: sample i's fault is
   /// sampler(derive_seed(seed, i)); batch b's patterns are
-  /// PatternSet::random(pis, words_per_fault, derive_seed(seed ^
-  /// kPatternStream, b)). Visitor calls may run concurrently but every
-  /// sample index is visited exactly once, with identical (fault, view)
-  /// content for any num_threads and any SIMD tier.
-  void run_campaign(const CampaignOptions& options, const Sampler& sampler,
-                    const Visitor& visit);
-
-  /// FaultSpec campaign: identical seed/batch schedule; specs sampled
-  /// through a single-site permanent sampler produce byte-identical views
-  /// to the StuckFault overload.
+  /// PatternSet::random(pis, words, derive_seed(seed ^ kPatternStream, b))
+  /// with words = ceil(options.vectors() / 64). Visitor calls may run
+  /// concurrently but every sample index is visited exactly once, with
+  /// identical (fault, view) content for any num_threads and any SIMD
+  /// tier.
   void run_campaign(const CampaignOptions& options, const SpecSampler& sampler,
                     const SpecVisitor& visit);
 
@@ -275,8 +252,8 @@ class FaultSimEngine {
   /// `options.sites_per_fault` distinct nodes; kTransientBurst places a
   /// `options.burst_vectors`-long forced window uniformly inside the
   /// campaign's vector range, both derived purely from the sample seed.
-  /// kSingleStuckAt reproduces the legacy uniform stuck-at sampler bit for
-  /// bit. `sites` must be non-empty.
+  /// kSingleStuckAt draws one site and one polarity from consecutive
+  /// SplitMix64 words. `sites` must be non-empty.
   static SpecSampler make_sampler(FaultModel model,
                                   std::vector<NodeId> sites,
                                   const CampaignOptions& options);
@@ -292,25 +269,13 @@ class FaultSimEngine {
   /// restricts detection to the first num_vectors patterns (the final
   /// word's padding bits are masked out). num_threads follows the
   /// CampaignOptions convention: 0 = apx::thread_count() (APX_THREADS
-  /// policy); results are bit-identical for any value. No dead-site
-  /// validation — the caller owns the explicit fault list.
-  void run_batch(const PatternSet& patterns,
-                 const std::vector<StuckFault>& faults, const Visitor& visit,
-                 int num_threads = 0, int num_vectors = 0);
-
-  /// FaultSpec form of run_batch.
+  /// policy); results are bit-identical for any value. Structural
+  /// validation only (range, duplicate sites, burst shape) — the caller
+  /// owns the explicit fault list, so dead sites are allowed.
   void run_batch(const PatternSet& patterns,
                  const std::vector<FaultSpec>& faults,
                  const SpecVisitor& visit, int num_threads = 0,
                  int num_vectors = 0);
-
-  /// Classic fault-dropping detection: simulates every fault against
-  /// successive random batches observed at `observe` nodes; a fault is
-  /// dropped from later batches once some observed node differs from
-  /// golden. Deterministic for any thread count.
-  DetectionReport detect_faults(const std::vector<StuckFault>& faults,
-                                const std::vector<NodeId>& observe,
-                                const DetectOptions& options);
 
   const Network& network() const { return net_; }
 
@@ -326,8 +291,8 @@ class FaultSimEngine {
   struct Worker;
 
   void run_golden(const PatternSet& patterns, int num_vectors);
-  void simulate_fault(Worker& w, const StuckFault& fault) const;
   void simulate_fault(Worker& w, const FaultSpec& fault) const;
+  const uint64_t* golden(NodeId id) const { return golden_.value(id).data(); }
   /// Structural validation (range, duplicate sites, burst shape); throws
   /// std::logic_error. Returns true when every site is live.
   bool validate_spec(const FaultSpec& spec, int num_vectors) const;
@@ -350,8 +315,9 @@ class FaultSimEngine {
   int num_words_ = 0;
   int num_vectors_ = 0;
   uint64_t tail_mask_ = ~0ULL;  ///< valid bits of the final word
-  /// Shared read-only golden plane (one aligned row per node).
-  ValueArena golden_;
+  /// Fault-free machine; its plane is the shared read-only golden image
+  /// every worker's faulty values are compared against.
+  Simulator golden_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
 };

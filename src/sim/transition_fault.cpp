@@ -2,47 +2,17 @@
 
 namespace apx {
 
-TransitionSimulator::TransitionSimulator(const Network& net)
-    : net_(net), first_(net), second_(net) {}
-
-void TransitionSimulator::run(const PatternSet& first,
-                              const PatternSet& second) {
-  first_.run(first);
-  second_.run(second);
-}
-
-WordSpan TransitionSimulator::value(NodeId id) const {
-  return second_.value(id);
-}
-
-WordSpan TransitionSimulator::launch_value(NodeId id) const {
-  return first_.value(id);
-}
-
-void TransitionSimulator::inject(const TransitionFault& fault) {
-  const WordSpan v1 = first_.value(fault.node);
-  const WordSpan v2 = second_.value(fault.node);
-  forced_.resize(v2.size());
-  for (int w = 0; w < v2.num_words(); ++w) {
-    // Slow-to-rise: a required 0->1 transition is missed (stays at 0), so
-    // the captured value is v2 AND v1. Dually for slow-to-fall.
-    forced_[w] = fault.slow_to_rise ? (v2[w] & v1[w]) : (v2[w] | v1[w]);
+FaultSite transition_site(const TransitionFault& fault, WordSpan launch,
+                          std::vector<uint64_t>& gate) {
+  gate.resize(static_cast<size_t>(launch.num_words()));
+  for (int w = 0; w < launch.num_words(); ++w) {
+    gate[w] = fault.slow_to_rise ? ~launch[w] : launch[w];
   }
-  second_.inject_forced(fault.node, forced_.data());
-}
-
-WordSpan TransitionSimulator::faulty_value(NodeId id) const {
-  return second_.faulty_value(id);
-}
-
-WordSpan TransitionSimulator::launch_mask(const TransitionFault& fault) {
-  const WordSpan v1 = first_.value(fault.node);
-  const WordSpan v2 = second_.value(fault.node);
-  mask_.resize(v2.size());
-  for (int w = 0; w < v2.num_words(); ++w) {
-    mask_[w] = fault.slow_to_rise ? (~v1[w] & v2[w]) : (v1[w] & ~v2[w]);
-  }
-  return WordSpan(mask_.data(), v2.num_words());
+  FaultSite site;
+  site.node = fault.node;
+  site.stuck_value = !fault.slow_to_rise;
+  site.gate = gate.data();
+  return site;
 }
 
 std::vector<TransitionFault> enumerate_transition_faults(const Network& net) {

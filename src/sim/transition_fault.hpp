@@ -7,14 +7,16 @@
 // its first-pattern value whenever the delayed transition was required:
 //   slow-to-rise: x_faulty = x2 AND x1   (a rising site stays 0)
 //   slow-to-fall: x_faulty = x2 OR  x1   (a falling site stays 1)
-// and the stale value propagates through the fanout cone.
+// and the stale value propagates through the fanout cone. Both are
+// stuck-at faults gated by the launch frame, so FaultSimEngine injects them
+// like any other site (transition_site below).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "network/network.hpp"
-#include "sim/simulator.hpp"
+#include "sim/fault_engine.hpp"
 
 namespace apx {
 
@@ -23,42 +25,15 @@ struct TransitionFault {
   bool slow_to_rise = true;  ///< false = slow-to-fall
 };
 
-/// Two-pattern transition-fault simulator. Patterns are consumed as
-/// (first, second) pairs sharing word geometry; results are the values at
-/// the *second* pattern (launch-capture).
-class TransitionSimulator {
- public:
-  explicit TransitionSimulator(const Network& net);
-
-  /// Simulates the fault-free pair.
-  void run(const PatternSet& first, const PatternSet& second);
-
-  /// Fault-free capture values (second pattern) of a node.
-  WordSpan value(NodeId id) const;
-
-  /// First-pattern (launch) values of a node.
-  WordSpan launch_value(NodeId id) const;
-
-  /// Injects a transition fault; faulty capture values readable via
-  /// faulty_value(). run() must have been called first.
-  void inject(const TransitionFault& fault);
-
-  WordSpan faulty_value(NodeId id) const;
-
-  /// Bit mask of patterns on which the fault is *launched* (the site
-  /// actually makes the slow transition), per word. The view aliases a
-  /// member scratch buffer: valid until the next launch_mask call.
-  WordSpan launch_mask(const TransitionFault& fault);
-
- private:
-  const Network& net_;
-  Simulator first_;
-  Simulator second_;
-  // Per-injection scratch, reused across calls (no heap allocations on the
-  // steady-state injection path).
-  std::vector<uint64_t> forced_;
-  std::vector<uint64_t> mask_;
-};
+/// Expresses `fault` as a FaultSimEngine site evaluated on the capture
+/// patterns and gated by the launch frame: slow-to-rise is a stuck-at-0 on
+/// the patterns whose launch value is 0 (capture x2 AND x1), slow-to-fall a
+/// stuck-at-1 on those whose launch value is 1 (x2 OR x1). `launch` is the
+/// site's launch-frame value row (e.g. Simulator::value after running the
+/// launch patterns). The gate mask is written into `gate`, which backs the
+/// returned site and so must outlive the engine call that injects it.
+FaultSite transition_site(const TransitionFault& fault, WordSpan launch,
+                          std::vector<uint64_t>& gate);
 
 /// Enumerates both transition faults of every PI fanout stem and every
 /// logic node. A slow transition on a PI stem is a real defect site (the

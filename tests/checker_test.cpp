@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/simulator.hpp"
+#include "sim/fault_engine.hpp"
 
 namespace apx {
 namespace {
@@ -147,15 +147,18 @@ TEST(CheckerTest, ZeroApproxUndetectableFaultDirections) {
   TwoRail pair = build_approx_checker(net, y, x, ApproxDirection::kZeroApprox);
   net.add_po("z1", pair.rail1);
   net.add_po("z2", pair.rail2);
-  Simulator sim(net);
-  sim.run(PatternSet::exhaustive(2));
 
+  FaultSimEngine engine(net);
   auto rails_agree_somewhere = [&](StuckFault f) {
-    sim.inject(f);
-    uint64_t z1 = sim.faulty_value(net.po(0).driver)[0];
-    uint64_t z2 = sim.faulty_value(net.po(1).driver)[0];
-    uint64_t mask = 0xF;  // 4 exhaustive patterns replicated
-    return ((~(z1 ^ z2)) & mask) != 0;
+    bool agree = false;
+    engine.run_batch(PatternSet::exhaustive(2), {FaultSpec::stuck_at(f)},
+                     [&](int, const FaultSpec&, const FaultView& v) {
+                       uint64_t z1 = v.faulty(net.po(0).driver)[0];
+                       uint64_t z2 = v.faulty(net.po(1).driver)[0];
+                       uint64_t mask = 0xF;  // 4 exhaustive patterns
+                       agree = ((~(z1 ^ z2)) & mask) != 0;
+                     });
+    return agree;
   };
   // Y stuck-at-0: checker sees valid codewords only -> never flagged.
   EXPECT_FALSE(rails_agree_somewhere({y, false}));

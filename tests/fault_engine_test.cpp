@@ -6,6 +6,7 @@
 #include <random>
 
 #include "benchmarks/benchmarks.hpp"
+#include "faulted_copy.hpp"
 #include "core/ced.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
@@ -42,32 +43,23 @@ CedDesign duplication_ced(const std::string& bench) {
   return build_ced_design(mapped, mapped, dirs);
 }
 
+// Every single stuck-at of a random network, checked row by row against an
+// independent reference: a faulted copy of the network run through a full
+// Simulator pass (tests/faulted_copy.hpp).
 TEST(FaultEngineTest, RunBatchMatchesSimulator) {
   Network net = random_network(11);
-  std::vector<StuckFault> faults = enumerate_faults(net);
+  std::vector<FaultSpec> faults = reference::single_stuck_at_specs(net);
   PatternSet patterns = PatternSet::random(net.num_pis(), 4, 77);
-
-  Simulator sim(net);
-  sim.run(patterns);
 
   FaultSimEngine engine(net);
   std::atomic<int> visited{0};
-  // num_threads = 1 explicitly: the visitor injects into one shared
-  // Simulator, which is not safe under concurrent visits.
-  auto check = [&](int i, const StuckFault& fault,
-                   const FaultView& view) {
-    EXPECT_EQ(fault.node, faults[i].node);
-    sim.inject(fault);
-    for (NodeId id = 0; id < net.num_nodes(); ++id) {
-      for (int w = 0; w < view.num_words(); ++w) {
-        ASSERT_EQ(view.golden(id)[w], sim.value(id)[w]);
-        ASSERT_EQ(view.faulty(id)[w], sim.faulty_value(id)[w])
-            << "node " << id << " fault on " << fault.node;
-      }
-    }
-    ++visited;
-  };
-  engine.run_batch(patterns, faults, check, /*num_threads=*/1);
+  engine.run_batch(patterns, faults,
+                   [&](int i, const FaultSpec& fault, const FaultView& view) {
+                     EXPECT_EQ(fault.sites[0].node, faults[i].sites[0].node);
+                     reference::expect_view_matches_faulted_copy(
+                         net, patterns, fault, view);
+                     ++visited;
+                   });
   EXPECT_EQ(visited.load(), static_cast<int>(faults.size()));
 }
 
@@ -77,7 +69,7 @@ TEST(FaultEngineTest, RunBatchMatchesSimulator) {
 // between explicit 1 and the policy-resolved pool.
 TEST(FaultEngineTest, RunBatchDefaultThreadsFollowsPolicyAndStaysIdentical) {
   Network net = random_network(21);
-  std::vector<StuckFault> faults = enumerate_faults(net);
+  std::vector<FaultSpec> faults = reference::single_stuck_at_specs(net);
   PatternSet patterns = PatternSet::random(net.num_pis(), 4, 99);
   FaultSimEngine engine(net);
 
@@ -85,7 +77,7 @@ TEST(FaultEngineTest, RunBatchDefaultThreadsFollowsPolicyAndStaysIdentical) {
     std::vector<uint64_t> sums(faults.size(), 0);
     engine.run_batch(
         patterns, faults,
-        [&](int i, const StuckFault&, const FaultView& view) {
+        [&](int i, const FaultSpec&, const FaultView& view) {
           uint64_t h = 0;
           for (NodeId id = 0; id < net.num_nodes(); ++id) {
             for (int w = 0; w < view.num_words(); ++w) {
@@ -99,7 +91,7 @@ TEST(FaultEngineTest, RunBatchDefaultThreadsFollowsPolicyAndStaysIdentical) {
   };
 
   // 0 resolves through apx::thread_count() (APX_THREADS policy) — the
-  // same resolution CampaignOptions/DetectOptions use.
+  // same resolution CampaignOptions uses.
   const std::vector<uint64_t> policy = fingerprint(0);
   const std::vector<uint64_t> serial = fingerprint(1);
   const std::vector<uint64_t> four = fingerprint(4);
@@ -117,8 +109,8 @@ TEST(FaultEngineTest, UnexcitedFaultLeavesViewGolden) {
   net.add_po("z", z);
   FaultSimEngine engine(net);
   PatternSet patterns = PatternSet::random(1, 2, 3);
-  engine.run_batch(patterns, {{y, true}},
-                   [&](int, const StuckFault&, const FaultView& view) {
+  engine.run_batch(patterns, {FaultSpec::stuck_at({y, true})},
+                   [&](int, const FaultSpec&, const FaultView& view) {
                      EXPECT_FALSE(view.touched(y));
                      EXPECT_FALSE(view.touched(z));
                      for (int w = 0; w < view.num_words(); ++w) {
@@ -129,7 +121,7 @@ TEST(FaultEngineTest, UnexcitedFaultLeavesViewGolden) {
 
 TEST(FaultEngineTest, CampaignVisitsEverySampleExactlyOnce) {
   Network net = random_network(5);
-  std::vector<StuckFault> faults = enumerate_faults(net);
+  std::vector<FaultSpec> faults = reference::single_stuck_at_specs(net);
   FaultSimEngine engine(net);
   CampaignOptions opt;
   opt.num_fault_samples = 100;
@@ -142,7 +134,7 @@ TEST(FaultEngineTest, CampaignVisitsEverySampleExactlyOnce) {
   engine.run_campaign(
       opt,
       [&](uint64_t s) { return faults[SplitMix64(s).next() % faults.size()]; },
-      [&](int i, const StuckFault&, const FaultView&) { ++visits[i]; });
+      [&](int i, const FaultSpec&, const FaultView&) { ++visits[i]; });
   for (int v : visits) EXPECT_EQ(v, 1);
 }
 
@@ -192,42 +184,6 @@ TEST(FaultEngineTest, ReliabilityBitIdenticalAcrossThreadCounts) {
   EXPECT_DOUBLE_EQ(r1.max_ced_coverage, r4.max_ced_coverage);
 }
 
-TEST(FaultEngineTest, DetectFaultsDropsDetectedFaults) {
-  Network net = random_network(9);
-  std::vector<StuckFault> faults = enumerate_faults(net);
-  std::vector<NodeId> observe;
-  for (const auto& po : net.pos()) observe.push_back(po.driver);
-
-  FaultSimEngine engine(net);
-  DetectOptions opt;
-  opt.max_words = 32;
-  opt.words_per_batch = 4;
-  DetectionReport report = engine.detect_faults(faults, observe, opt);
-
-  ASSERT_EQ(report.detected.size(), faults.size());
-  const int num_batches = opt.max_words / opt.words_per_batch;
-  // Dropping: detected faults stop consuming batches, so the total work is
-  // below the no-dropping product whenever anything is detected early.
-  EXPECT_GT(report.num_detected(), 0);
-  EXPECT_LT(report.fault_batch_evals,
-            static_cast<int64_t>(faults.size()) * num_batches);
-  for (size_t i = 0; i < faults.size(); ++i) {
-    if (report.detected[i]) {
-      EXPECT_GE(report.detecting_batch[i], 0);
-      EXPECT_LT(report.detecting_batch[i], num_batches);
-    } else {
-      EXPECT_EQ(report.detecting_batch[i], -1);
-    }
-  }
-
-  // Thread count must not change what is detected or when.
-  DetectOptions threaded = opt;
-  threaded.num_threads = 4;
-  DetectionReport r4 = engine.detect_faults(faults, observe, threaded);
-  EXPECT_EQ(report.detected, r4.detected);
-  EXPECT_EQ(report.detecting_batch, r4.detecting_batch);
-}
-
 TEST(FaultEngineTest, CampaignRejectsOutOfRangeFaultSites) {
   Network net = random_network(3);
   FaultSimEngine engine(net);
@@ -235,8 +191,11 @@ TEST(FaultEngineTest, CampaignRejectsOutOfRangeFaultSites) {
   opt.num_fault_samples = 4;
   EXPECT_THROW(
       engine.run_campaign(
-          opt, [&](uint64_t) { return StuckFault{net.num_nodes(), false}; },
-          [](int, const StuckFault&, const FaultView&) {}),
+          opt,
+          [&](uint64_t) {
+            return FaultSpec::stuck_at({net.num_nodes(), false});
+          },
+          [](int, const FaultSpec&, const FaultView&) {}),
       std::logic_error);
 }
 

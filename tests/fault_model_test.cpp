@@ -1,8 +1,9 @@
-// Tests for the generalized fault models of FaultSimEngine (FaultSpec:
-// multi-site stuck-at and burst-transient faults) plus the bit-identity
-// pins of the legacy single-stuck-at path: the exact erroneous/detected
-// counts below were captured from the pre-FaultSpec engine, so any change
-// to the single-fault substrate's results fails loudly here.
+// Tests for the fault models of FaultSimEngine (FaultSpec: single and
+// multi-site stuck-at, burst-transient and launch-gated transition faults)
+// plus the bit-identity pins of the single-stuck-at campaigns: the exact
+// erroneous/detected counts below were captured from the pre-FaultSpec
+// engine, so any change to the single-fault substrate's results fails
+// loudly here.
 #include "sim/fault_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "baselines/partial_duplication.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/ced.hpp"
+#include "faulted_copy.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 #include "reliability/reliability.hpp"
@@ -47,74 +49,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace apx {
 namespace {
-
-// ---- reference evaluation -------------------------------------------------
-
-uint64_t window_mask(int32_t start, int32_t len, int w) {
-  const int64_t lo = static_cast<int64_t>(w) * 64;
-  const int64_t hi = lo + 64;
-  const int64_t s = std::max<int64_t>(start, lo);
-  const int64_t e = std::min<int64_t>(static_cast<int64_t>(start) + len, hi);
-  if (s >= e) return 0;
-  const int b = static_cast<int>(e - lo);
-  const int a = static_cast<int>(s - lo);
-  const uint64_t upto = b == 64 ? ~0ULL : (1ULL << b) - 1;
-  return upto & ~((1ULL << a) - 1);
-}
-
-using Plane = std::vector<std::vector<uint64_t>>;
-
-// Brute-force full re-simulation with the spec's sites overridden, matching
-// the engine's semantics: permanent sites hold `forced` on every vector;
-// transient sites hold (golden & ~window) | (forced & window), where golden
-// is the *fault-free* value (site rows are pinned for the whole batch).
-Plane reference_plane(const Network& net, const PatternSet& pats,
-                      const FaultSpec* spec, const Plane* golden) {
-  const int W = pats.num_words();
-  Plane val(net.num_nodes(), std::vector<uint64_t>(W, 0));
-  auto view = net.topology();
-  std::vector<int> pi_col(net.num_nodes(), -1);
-  for (int i = 0; i < net.num_pis(); ++i) pi_col[net.pis()[i]] = i;
-  std::vector<const uint64_t*> fanin;
-  for (NodeId id : view->topo()) {
-    const Node& n = net.node(id);
-    uint64_t* out = val[id].data();
-    switch (n.kind) {
-      case NodeKind::kPi: {
-        const WordSpan col = pats.column(pi_col[id]);
-        std::copy(col.begin(), col.end(), out);
-        break;
-      }
-      case NodeKind::kConst0:
-        break;  // zero-initialized
-      case NodeKind::kConst1:
-        std::fill(out, out + W, ~0ULL);
-        break;
-      case NodeKind::kLogic: {
-        fanin.clear();
-        for (NodeId f : n.fanins) fanin.push_back(val[f].data());
-        eval_sop_words(n.sop, fanin.data(), W, out);
-        break;
-      }
-    }
-    if (spec == nullptr) continue;
-    for (int s = 0; s < spec->num_sites; ++s) {
-      const FaultSite& site = spec->sites[s];
-      if (site.node != id) continue;
-      const uint64_t forced = site.stuck_value ? ~0ULL : 0ULL;
-      if (!site.transient) {
-        std::fill(out, out + W, forced);
-      } else {
-        for (int w = 0; w < W; ++w) {
-          const uint64_t m =
-              window_mask(site.burst_start, site.burst_length, w);
-          out[w] = ((*golden)[id][w] & ~m) | (forced & m);
-        }
-      }
-    }
-  }
-  return val;
-}
 
 CedDesign duplication_ced(const std::string& bench) {
   Network net = make_benchmark(bench);
@@ -183,44 +117,20 @@ TEST(FaultModelPinTest, SingleStuckAtReliabilityReproducesSeedRates) {
 
 // ---- FaultSpec semantics --------------------------------------------------
 
-TEST(FaultModelTest, SingleSiteSpecMatchesStuckFaultPathByteForByte) {
+TEST(FaultModelTest, SingleSiteSpecsMatchFaultedCopyReference) {
   Network net = make_benchmark("rca8");
-  std::vector<StuckFault> faults = enumerate_faults(net);
-  std::vector<FaultSpec> specs;
-  for (const StuckFault& f : faults) specs.push_back(FaultSpec::stuck_at(f));
+  std::vector<FaultSpec> specs = reference::single_stuck_at_specs(net);
   PatternSet patterns = PatternSet::random(net.num_pis(), 3, 0xF00D);
   FaultSimEngine engine(net);
-
-  std::vector<std::vector<uint64_t>> legacy(faults.size());
-  engine.run_batch(
-      patterns, faults,
-      [&](int i, const StuckFault&, const FaultView& v) {
-        std::vector<uint64_t>& plane = legacy[i];
-        for (NodeId id = 0; id < net.num_nodes(); ++id) {
-          for (int w = 0; w < v.num_words(); ++w) {
-            plane.push_back(v.faulty(id)[w]);
-          }
-        }
-      },
-      /*num_threads=*/1);
-
-  std::vector<std::vector<uint64_t>> spec_planes(specs.size());
+  int visits = 0;
   engine.run_batch(
       patterns, specs,
-      [&](int i, const FaultSpec&, const FaultView& v) {
-        std::vector<uint64_t>& plane = spec_planes[i];
-        for (NodeId id = 0; id < net.num_nodes(); ++id) {
-          for (int w = 0; w < v.num_words(); ++w) {
-            plane.push_back(v.faulty(id)[w]);
-          }
-        }
+      [&](int, const FaultSpec& spec, const FaultView& v) {
+        ++visits;
+        reference::expect_view_matches_faulted_copy(net, patterns, spec, v);
       },
       /*num_threads=*/1);
-
-  ASSERT_EQ(legacy.size(), spec_planes.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i], spec_planes[i]) << "fault " << i;
-  }
+  EXPECT_EQ(visits, static_cast<int>(specs.size()));
 }
 
 TEST(FaultModelTest, MultiSiteStuckAtMatchesBruteForceResimulation) {
@@ -249,14 +159,8 @@ TEST(FaultModelTest, MultiSiteStuckAtMatchesBruteForceResimulation) {
   FaultSimEngine engine(net);
   engine.run_batch(
       patterns, specs,
-      [&](int i, const FaultSpec& spec, const FaultView& v) {
-        const Plane ref = reference_plane(net, patterns, &spec, nullptr);
-        for (NodeId id = 0; id < net.num_nodes(); ++id) {
-          for (int w = 0; w < v.num_words(); ++w) {
-            ASSERT_EQ(v.faulty(id)[w], ref[id][w])
-                << "spec " << i << " node " << id << " word " << w;
-          }
-        }
+      [&](int, const FaultSpec& spec, const FaultView& v) {
+        reference::expect_view_matches_faulted_copy(net, patterns, spec, v);
       },
       /*num_threads=*/1);
 }
@@ -268,7 +172,6 @@ TEST(FaultModelTest, TransientBurstForcesOnlyItsWindow) {
     if (net.node(id).kind == NodeKind::kLogic) logic.push_back(id);
   }
   PatternSet patterns = PatternSet::random(net.num_pis(), 2, 0xB00);
-  const Plane golden = reference_plane(net, patterns, nullptr, nullptr);
 
   FaultSpec spec;
   FaultSite site;
@@ -283,16 +186,14 @@ TEST(FaultModelTest, TransientBurstForcesOnlyItsWindow) {
   engine.run_batch(
       patterns, {spec},
       [&](int, const FaultSpec&, const FaultView& v) {
-        const Plane ref = reference_plane(net, patterns, &spec, &golden);
+        reference::expect_view_matches_faulted_copy(net, patterns, spec, v);
         for (NodeId id = 0; id < net.num_nodes(); ++id) {
           for (int w = 0; w < v.num_words(); ++w) {
-            ASSERT_EQ(v.faulty(id)[w], ref[id][w])
-                << "node " << id << " word " << w;
             // Every node's deviation is confined to the burst window:
             // outside it the site holds golden, so nothing can differ.
             const uint64_t diff = v.faulty(id)[w] ^ v.golden(id)[w];
-            EXPECT_EQ(diff & ~window_mask(site.burst_start, site.burst_length,
-                                          w),
+            EXPECT_EQ(diff & ~reference::window_mask(site.burst_start,
+                                                     site.burst_length, w),
                       0u)
                 << "node " << id << " word " << w;
           }
@@ -376,6 +277,68 @@ TEST(FaultModelTest, PartialDuplicationSelectionDeterministicUnderModels) {
   EXPECT_FALSE(r1.duplicated_pos.empty());
 }
 
+TEST(FaultModelTest, TransitionSitesMatchFaultedCopyReference) {
+  Network net = make_benchmark("rca8");
+  std::vector<TransitionFault> faults = enumerate_transition_faults(net);
+  Simulator launch_sim(net);
+  launch_sim.run(PatternSet::random(net.num_pis(), 2, 0x1A));
+  PatternSet capture = PatternSet::random(net.num_pis(), 2, 0xCA);
+
+  // Every PI-stem and gate transition fault, gated by its launch frame.
+  std::vector<std::vector<uint64_t>> gates(faults.size() + 1);
+  std::vector<FaultSpec> specs;
+  for (size_t i = 0; i < faults.size(); ++i) {
+    FaultSpec spec;
+    spec.add(transition_site(faults[i], launch_sim.value(faults[i].node),
+                             gates[i]));
+    specs.push_back(spec);
+  }
+  // One mixed spec: a gated site, a transient burst and a permanent
+  // stuck-at, the later sites inside the first one's fanout cone.
+  std::vector<NodeId> logic;
+  for (NodeId id = 0; id < net.num_nodes(); ++id) {
+    if (net.node(id).kind == NodeKind::kLogic) logic.push_back(id);
+  }
+  FaultSpec mixed;
+  const TransitionFault rise{logic[2], true};
+  mixed.add(transition_site(rise, launch_sim.value(rise.node),
+                            gates.back()));
+  mixed.add({logic[logic.size() / 2], true, true, 20, 70});
+  mixed.add({logic[logic.size() - 3], false, false, 0, 0});
+  specs.push_back(mixed);
+
+  FaultSimEngine engine(net);
+  engine.run_batch(
+      capture, specs,
+      [&](int, const FaultSpec& spec, const FaultView& v) {
+        reference::expect_view_matches_faulted_copy(net, capture, spec, v);
+      },
+      /*num_threads=*/1);
+}
+
+TEST(FaultModelTest, NegativeSiteIdsAreRejected) {
+  Network net = make_benchmark("c17");
+  FaultSimEngine engine(net);
+  EXPECT_FALSE(engine.is_live_site(-2, true));
+  const FaultSpec negative = FaultSpec::stuck_at({-2, true});
+
+  CampaignOptions opt;
+  opt.num_fault_samples = 4;
+  for (DeadSitePolicy policy : {DeadSitePolicy::kReject,
+                                DeadSitePolicy::kResample,
+                                DeadSitePolicy::kAllow}) {
+    opt.dead_sites = policy;
+    EXPECT_THROW(engine.run_campaign(
+                     opt, [&](uint64_t) { return negative; },
+                     [](int, const FaultSpec&, const FaultView&) {}),
+                 std::logic_error);
+  }
+  EXPECT_THROW(engine.run_batch(PatternSet::random(net.num_pis(), 1, 1),
+                                {negative},
+                                [](int, const FaultSpec&, const FaultView&) {}),
+               std::logic_error);
+}
+
 // ---- dead-site policy -----------------------------------------------------
 
 TEST(FaultModelTest, CampaignRejectsConstantSiteOfSamePolarity) {
@@ -385,8 +348,8 @@ TEST(FaultModelTest, CampaignRejectsConstantSiteOfSamePolarity) {
   opt.num_fault_samples = 4;
   EXPECT_THROW(
       engine.run_campaign(
-          opt, [&](uint64_t) { return StuckFault{fx.c0, false}; },
-          [](int, const StuckFault&, const FaultView&) {}),
+          opt, [&](uint64_t) { return FaultSpec::stuck_at({fx.c0, false}); },
+          [](int, const FaultSpec&, const FaultView&) {}),
       std::logic_error);
   // Opposite polarity on the same constant is a live (excitable) fault.
   EXPECT_TRUE(engine.is_live_site(fx.c0, true));
@@ -401,8 +364,9 @@ TEST(FaultModelTest, CampaignRejectsUnconnectedSite) {
   opt.num_fault_samples = 4;
   EXPECT_THROW(
       engine.run_campaign(
-          opt, [&](uint64_t) { return StuckFault{fx.orphan, true}; },
-          [](int, const StuckFault&, const FaultView&) {}),
+          opt,
+          [&](uint64_t) { return FaultSpec::stuck_at({fx.orphan, true}); },
+          [](int, const FaultSpec&, const FaultView&) {}),
       std::logic_error);
 
   // kAllow restores the legacy behavior: the dead sample simulates (and
@@ -410,8 +374,8 @@ TEST(FaultModelTest, CampaignRejectsUnconnectedSite) {
   opt.dead_sites = DeadSitePolicy::kAllow;
   int visits = 0;
   engine.run_campaign(
-      opt, [&](uint64_t) { return StuckFault{fx.orphan, true}; },
-      [&](int, const StuckFault&, const FaultView& v) {
+      opt, [&](uint64_t) { return FaultSpec::stuck_at({fx.orphan, true}); },
+      [&](int, const FaultSpec&, const FaultView& v) {
         ++visits;
         EXPECT_FALSE(v.touched(fx.g));
       });
@@ -427,15 +391,16 @@ TEST(FaultModelTest, CampaignResamplesDeadSitesDeterministically) {
   opt.dead_sites = DeadSitePolicy::kResample;
   // Pure-but-half-dead sampler: even seeds draw the orphan.
   auto sampler = [&](uint64_t s) {
-    return (s & 1) ? StuckFault{fx.g, true} : StuckFault{fx.orphan, true};
+    return FaultSpec::stuck_at((s & 1) ? StuckFault{fx.g, true}
+                                       : StuckFault{fx.orphan, true});
   };
   auto run = [&](int threads) {
     CampaignOptions o = opt;
     o.num_threads = threads;
     std::vector<NodeId> drawn(o.num_fault_samples, kNullNode);
     engine.run_campaign(o, sampler,
-                        [&](int i, const StuckFault& f, const FaultView&) {
-                          drawn[i] = f.node;
+                        [&](int i, const FaultSpec& f, const FaultView&) {
+                          drawn[i] = f.sites[0].node;
                         });
     return drawn;
   };
@@ -527,44 +492,62 @@ TEST(FaultModelTest, StockSamplersArePureInTheSampleSeed) {
 
 // ---- allocation-free steady state -----------------------------------------
 
-TEST(FaultModelTest, TransitionSimulatorSteadyStateDoesNotAllocate) {
-  Network net = make_benchmark("c17");
-  std::vector<TransitionFault> faults = enumerate_transition_faults(net);
-  TransitionSimulator sim(net);
-  PatternSet launch = PatternSet::random(net.num_pis(), 4, 11);
-  PatternSet capture = PatternSet::random(net.num_pis(), 4, 22);
-  sim.run(launch, capture);
-  // Warm-up: size every scratch buffer (cone marks, fanin pointers, the
-  // forced/mask rows) to its steady-state capacity.
-  for (const TransitionFault& f : faults) {
-    sim.inject(f);
-    (void)sim.launch_mask(f);
-  }
+// Allocation count of one run_batch call: the per-call setup (golden run,
+// dispatch) may allocate, but the count must not grow with the number of
+// faults — the injection path itself is allocation-free once warmed.
+int64_t run_batch_allocs(FaultSimEngine& engine, const PatternSet& patterns,
+                         const std::vector<FaultSpec>& specs,
+                         uint64_t* sink) {
   const int64_t before = g_allocs.load(std::memory_order_relaxed);
-  uint64_t sink = 0;
-  for (const TransitionFault& f : faults) {
-    sim.inject(f);
-    sink ^= sim.faulty_value(f.node)[0];
-    sink ^= sim.launch_mask(f)[0];
-  }
-  const int64_t after = g_allocs.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0) << "sink=" << sink;
+  engine.run_batch(
+      patterns, specs,
+      [&](int, const FaultSpec& f, const FaultView& v) {
+        *sink ^= v.faulty(f.sites[0].node)[0];
+      },
+      /*num_threads=*/1);
+  return g_allocs.load(std::memory_order_relaxed) - before;
 }
 
-TEST(FaultModelTest, SimulatorStuckAtInjectionSteadyStateDoesNotAllocate) {
+TEST(FaultModelTest, TransitionSiteInjectionDoesNotAllocatePerFault) {
   Network net = make_benchmark("c17");
-  std::vector<StuckFault> faults = enumerate_faults(net);
-  Simulator sim(net);
-  sim.run(PatternSet::random(net.num_pis(), 4, 33));
-  for (const StuckFault& f : faults) sim.inject(f);
-  const int64_t before = g_allocs.load(std::memory_order_relaxed);
+  std::vector<TransitionFault> faults = enumerate_transition_faults(net);
+  Simulator launch_sim(net);
+  launch_sim.run(PatternSet::random(net.num_pis(), 4, 11));
+  PatternSet capture = PatternSet::random(net.num_pis(), 4, 22);
+  std::vector<std::vector<uint64_t>> gates(faults.size());
+  std::vector<FaultSpec> specs(faults.size());
+  auto build_sites = [&] {
+    for (size_t i = 0; i < faults.size(); ++i) {
+      specs[i] = FaultSpec();
+      specs[i].add(transition_site(faults[i], launch_sim.value(faults[i].node),
+                                   gates[i]));
+    }
+  };
+  build_sites();  // sizes every gate buffer
+  const std::vector<FaultSpec> one(specs.begin(), specs.begin() + 1);
+  FaultSimEngine engine(net);
   uint64_t sink = 0;
-  for (const StuckFault& f : faults) {
-    sim.inject(f);
-    sink ^= sim.faulty_value(f.node)[0];
-  }
-  const int64_t after = g_allocs.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0) << "sink=" << sink;
+  run_batch_allocs(engine, capture, specs, &sink);  // warm-up
+
+  const int64_t before = g_allocs.load(std::memory_order_relaxed);
+  build_sites();  // re-gating into warmed buffers
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0);
+  EXPECT_EQ(run_batch_allocs(engine, capture, specs, &sink),
+            run_batch_allocs(engine, capture, one, &sink))
+      << "sink=" << sink;
+}
+
+TEST(FaultModelTest, StuckAtInjectionDoesNotAllocatePerFault) {
+  Network net = make_benchmark("c17");
+  const std::vector<FaultSpec> specs = reference::single_stuck_at_specs(net);
+  const std::vector<FaultSpec> one(specs.begin(), specs.begin() + 1);
+  PatternSet patterns = PatternSet::random(net.num_pis(), 4, 33);
+  FaultSimEngine engine(net);
+  uint64_t sink = 0;
+  run_batch_allocs(engine, patterns, specs, &sink);  // warm-up
+  EXPECT_EQ(run_batch_allocs(engine, patterns, specs, &sink),
+            run_batch_allocs(engine, patterns, one, &sink))
+      << "sink=" << sink;
 }
 
 }  // namespace

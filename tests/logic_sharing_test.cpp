@@ -6,14 +6,15 @@
 #include "core/approx_synthesis.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
+#include "network/ordering.hpp"
 #include "sim/simulator.hpp"
 
 namespace apx {
 namespace {
 
 CedDesign make_design(double threshold, SharingReport* report = nullptr,
-                      bool share = true) {
-  Network net = make_benchmark("cmp4");
+                      bool share = true, const std::string& bench = "cmp4") {
+  Network net = make_benchmark(bench);
   Network opt = quick_synthesis(net);
   Network mapped = technology_map(opt);
   std::vector<ApproxDirection> dirs(net.num_pos(),
@@ -98,6 +99,19 @@ TEST(LogicSharingTest, SharingTradesCoverage) {
   double cov_shared = evaluate_ced_coverage(shared, copt).coverage();
   double cov_unshared = evaluate_ced_coverage(unshared, copt).coverage();
   EXPECT_LE(cov_shared, cov_unshared + 0.05);
+}
+
+// Merge counts and shared-design hashes recorded from the Simulator-based
+// criticality estimate the engine batch replaced: the error masses, hence
+// the chosen merges, must be reproduced exactly.
+TEST(LogicSharingTest, SharingReproducesPinnedDesigns) {
+  SharingReport rep;
+  CedDesign cmp4 = make_design(0.05, &rep);
+  EXPECT_EQ(rep.merged_nodes, 11);
+  EXPECT_EQ(network_content_hash(cmp4.design), 0x25811db6a409fe7eULL);
+  CedDesign cmp8 = make_design(0.05, &rep, true, "cmp8");
+  EXPECT_EQ(rep.merged_nodes, 41);
+  EXPECT_EQ(network_content_hash(cmp8.design), 0x78793c3ad4a98dccULL);
 }
 
 }  // namespace

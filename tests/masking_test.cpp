@@ -6,7 +6,7 @@
 #include "core/approx_synthesis.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
-#include "sim/simulator.hpp"
+#include "sim/fault_engine.hpp"
 
 namespace apx {
 namespace {
@@ -44,17 +44,21 @@ TEST(MaskingTest, PerfectCheckFunctionMasksAllProtectedErrors) {
   MaskingDesign d =
       build_masking_design(mapped, mapped, {ApproxDirection::kZeroApprox});
 
-  Simulator sim(d.ced.design);
-  sim.run(PatternSet::exhaustive(3));
   NodeId y = d.ced.functional_outputs[0];
   NodeId m = d.masked_outputs[0];
+  std::vector<FaultSpec> faults;
   for (NodeId site : d.ced.functional_nodes) {
-    sim.inject({site, true});  // stuck-at-1 creates 0->1 errors
-    uint64_t golden = sim.value(y)[0];
-    uint64_t masked_err = (golden ^ sim.faulty_value(m)[0]) & ~golden;
-    EXPECT_EQ(masked_err & 0xFF, 0u) << "unmasked 0->1 error at site "
-                                     << site;
+    // Stuck-at-1 creates 0->1 errors.
+    faults.push_back(FaultSpec::stuck_at({site, true}));
   }
+  FaultSimEngine engine(d.ced.design);
+  engine.run_batch(PatternSet::exhaustive(3), faults,
+                   [&](int, const FaultSpec& f, const FaultView& v) {
+                     uint64_t golden = v.golden(y)[0];
+                     uint64_t masked_err = (golden ^ v.faulty(m)[0]) & ~golden;
+                     EXPECT_EQ(masked_err & 0xFF, 0u)
+                         << "unmasked 0->1 error at site " << f.sites[0].node;
+                   });
 }
 
 TEST(MaskingTest, SynthesizedCheckerReducesErrorRate) {
@@ -91,6 +95,27 @@ TEST(MaskingTest, MaskedOutputsAreProperPos) {
   }
   EXPECT_EQ(masked_pos, net.num_pos());
   d.ced.design.check();
+}
+
+// Counts recorded from the per-sample Simulator injection loop the engine
+// replaced (same mt19937_64 draws): the port must reproduce them exactly.
+TEST(MaskingTest, EvaluationReproducesPinnedCounts) {
+  Network net = make_benchmark("dec38");
+  Network opt = quick_synthesis(net);
+  Network mapped = technology_map(opt);
+  std::vector<ApproxDirection> dirs(net.num_pos(),
+                                    ApproxDirection::kZeroApprox);
+  ApproxOptions aopt;
+  aopt.significance_threshold = 0.05;
+  ApproxResult r = synthesize_approximation(opt, dirs, aopt);
+  MaskingDesign d =
+      build_masking_design(mapped, technology_map(r.approx), dirs);
+  CoverageOptions copt;
+  copt.num_fault_samples = 400;
+  MaskingResult mr = evaluate_masking(d, copt);
+  EXPECT_EQ(mr.runs, 102400);
+  EXPECT_EQ(mr.raw_errors, 24451);
+  EXPECT_EQ(mr.masked_errors, 4484);
 }
 
 }  // namespace

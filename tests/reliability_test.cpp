@@ -89,6 +89,29 @@ TEST(ReliabilityTest, ChooseDirectionsMatchesDominant) {
   EXPECT_EQ(dirs[1], ApproxDirection::kOneApprox);
 }
 
+// A vector count that is not a multiple of 64: every rate is normalized by
+// the vectors actually simulated, so runs = samples * 100 and no rate can
+// leave [0, 1] (the padding bits of the final word never count).
+TEST(ReliabilityTest, VectorsPerFaultSetsRunsAndKeepsRatesInRange) {
+  Network net = and_cone(6);
+  net.add_po("g", net.add_or(net.pis()[0], net.pis()[1]));
+  ReliabilityOptions opt;
+  opt.num_fault_samples = 300;
+  opt.vectors_per_fault = 100;
+  ReliabilityReport r = analyze_reliability(net, opt);
+  EXPECT_EQ(r.runs, int64_t{300} * 100);
+  ASSERT_EQ(r.outputs.size(), 2u);
+  for (const OutputErrorProfile& p : r.outputs) {
+    EXPECT_GE(p.rate_0_to_1, 0.0);
+    EXPECT_GE(p.rate_1_to_0, 0.0);
+    EXPECT_LE(p.total_rate(), 1.0);
+  }
+  EXPECT_GT(r.any_output_error_rate, 0.0);
+  EXPECT_LE(r.any_output_error_rate, 1.0);
+  EXPECT_GE(r.max_ced_coverage, 0.0);
+  EXPECT_LE(r.max_ced_coverage, 1.0);
+}
+
 TEST(ReliabilityTest, EmptyNetworkYieldsEmptyReport) {
   Network net;
   net.add_pi("a");

@@ -11,6 +11,7 @@
 // the env-var dispatch path is exercised too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <optional>
 #include <string>
@@ -45,8 +46,8 @@ class SimdIdentityTest : public ::testing::Test {
   void TearDown() override { simd::set_tier(simd::best_supported_tier()); }
 };
 
-// Full golden + faulty value planes of a Simulator run, copied out of the
-// arenas word by word so the comparison is content-based (byte identity of
+// Full golden + faulty value planes of one engine injection, copied out of
+// the arenas word by word so the comparison is content-based (byte identity of
 // every node row, including sub-lane tails at odd word counts).
 struct Planes {
   std::vector<std::vector<uint64_t>> golden;
@@ -54,8 +55,6 @@ struct Planes {
 };
 
 Planes capture_planes(const Network& net, int words, uint64_t seed) {
-  Simulator sim(net);
-  sim.run(PatternSet::random(net.num_pis(), words, seed));
   // A mid-circuit fault site with real fanout: the last logic node's first
   // fanin (deterministic for a fixed benchmark).
   NodeId site = kNullNode;
@@ -63,14 +62,18 @@ Planes capture_planes(const Network& net, int words, uint64_t seed) {
     if (net.node(id).kind == NodeKind::kLogic) site = id;
   }
   if (!net.node(site).fanins.empty()) site = net.node(site).fanins[0];
-  sim.inject({site, true});
   Planes p;
-  for (NodeId id = 0; id < net.num_nodes(); ++id) {
-    WordSpan g = sim.value(id);
-    WordSpan f = sim.faulty_value(id);
-    p.golden.emplace_back(g.begin(), g.end());
-    p.faulty.emplace_back(f.begin(), f.end());
-  }
+  FaultSimEngine engine(net);
+  engine.run_batch(PatternSet::random(net.num_pis(), words, seed),
+                   {FaultSpec::stuck_at({site, true})},
+                   [&](int, const FaultSpec&, const FaultView& v) {
+                     for (NodeId id = 0; id < net.num_nodes(); ++id) {
+                       p.golden.emplace_back(v.golden(id),
+                                             v.golden(id) + words);
+                       p.faulty.emplace_back(v.faulty(id),
+                                             v.faulty(id) + words);
+                     }
+                   });
   return p;
 }
 
@@ -123,30 +126,46 @@ TEST_F(SimdIdentityTest, CoverageCountsAreIdenticalAcrossTiers) {
   }
 }
 
+// Per-fault detection at the POs over two random batches: which faults
+// are detected, and in which batch first.
 TEST_F(SimdIdentityTest, DetectionReportsAreIdenticalAcrossTiers) {
   Network net = technology_map(quick_synthesis(make_benchmark("rca16")));
-  std::vector<StuckFault> faults = enumerate_faults(net);
-  std::vector<NodeId> observe;
-  for (int o = 0; o < net.num_pos(); ++o) observe.push_back(net.po(o).driver);
-  DetectOptions options;
-  options.max_words = 6;
-  options.words_per_batch = 3;
+  std::vector<FaultSpec> faults;
+  for (const StuckFault& f : enumerate_faults(net)) {
+    faults.push_back(FaultSpec::stuck_at(f));
+  }
+  auto first_detection = [&] {
+    FaultSimEngine engine(net);
+    std::vector<int> batch_of(faults.size(), -1);
+    for (int b = 0; b < 2; ++b) {
+      engine.run_batch(
+          PatternSet::random(net.num_pis(), 3, derive_seed(0xD7EC7, b)),
+          faults, [&](int i, const FaultSpec&, const FaultView& v) {
+            for (int o = 0; o < net.num_pos(); ++o) {
+              // touched() holds exactly when faulty != golden on some
+              // pattern — i.e. the fault is detected at the PO.
+              if (batch_of[i] < 0 && v.touched(net.po(o).driver)) {
+                batch_of[i] = b;
+              }
+            }
+          });
+    }
+    return batch_of;
+  };
 
-  std::optional<DetectionReport> reference;
+  std::optional<std::vector<int>> reference;
   for (simd::Tier tier : supported_tiers()) {
     simd::set_tier(tier);
-    FaultSimEngine engine(net);
-    DetectionReport r = engine.detect_faults(faults, observe, options);
+    std::vector<int> r = first_detection();
     if (!reference) {
       reference = std::move(r);
       continue;
     }
-    EXPECT_EQ(r.detected, reference->detected)
-        << "tier " << simd::tier_name(tier);
-    EXPECT_EQ(r.detecting_batch, reference->detecting_batch)
-        << "tier " << simd::tier_name(tier);
-    EXPECT_EQ(r.fault_batch_evals, reference->fault_batch_evals);
+    EXPECT_EQ(r, *reference) << "tier " << simd::tier_name(tier);
   }
+  EXPECT_GT(std::count_if(reference->begin(), reference->end(),
+                          [](int b) { return b >= 0; }),
+            0);
 }
 
 // The synthesis screening prescreen runs on simulated planes; if a tier

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 
 #include "bdd/network_bdd.hpp"
+#include "sim/fault_engine.hpp"
 
 namespace apx {
 namespace {
@@ -82,85 +84,121 @@ TEST(SimulatorTest, RandomSimulationMatchesBdd) {
   }
 }
 
+// Fault injection rides FaultSimEngine over the Simulator's golden plane;
+// these cases pin its single stuck-at behaviour on the full adder.
+
+// Runs `faults` as one engine batch over the exhaustive adder patterns and
+// hands each view to `check` in fault order.
+void inject_each(const Network& net, const std::vector<StuckFault>& faults,
+                 const std::function<void(int, const FaultView&)>& check) {
+  std::vector<FaultSpec> specs;
+  for (const StuckFault& f : faults) specs.push_back(FaultSpec::stuck_at(f));
+  FaultSimEngine engine(net);
+  engine.run_batch(
+      PatternSet::exhaustive(3), specs,
+      [&](int i, const FaultSpec&, const FaultView& v) { check(i, v); },
+      /*num_threads=*/1);
+}
+
 TEST(SimulatorTest, StuckFaultForcesValue) {
   Network net = adder_bit();
-  Simulator sim(net);
-  sim.run(PatternSet::exhaustive(3));
   NodeId axb = *net.find_node("axb");
-  sim.inject({axb, true});
-  EXPECT_EQ(sim.faulty_value(axb)[0], ~0ULL);
-  // Downstream cone (sum) must differ where a^b == 0 -> sum flips.
   NodeId sum = net.po(0).driver;
-  uint64_t golden = sim.value(sum)[0];
-  uint64_t faulty = sim.faulty_value(sum)[0];
-  for (uint64_t m = 0; m < 8; ++m) {
-    int a = m & 1, b = (m >> 1) & 1, c = (m >> 2) & 1;
-    bool expect_flip = (a ^ b) == 0;
-    EXPECT_EQ(((golden ^ faulty) >> m) & 1, static_cast<uint64_t>(expect_flip))
-        << m << " c=" << c;
-  }
+  inject_each(net, {{axb, true}}, [&](int, const FaultView& v) {
+    EXPECT_EQ(v.faulty(axb)[0], ~0ULL);
+    // Downstream cone (sum) must differ where a^b == 0 -> sum flips.
+    uint64_t golden = v.golden(sum)[0];
+    uint64_t faulty = v.faulty(sum)[0];
+    for (uint64_t m = 0; m < 8; ++m) {
+      int a = m & 1, b = (m >> 1) & 1, c = (m >> 2) & 1;
+      bool expect_flip = (a ^ b) == 0;
+      EXPECT_EQ(((golden ^ faulty) >> m) & 1,
+                static_cast<uint64_t>(expect_flip))
+          << m << " c=" << c;
+    }
+  });
 }
 
 TEST(SimulatorTest, FaultOutsideConeLeavesGolden) {
   Network net = adder_bit();
-  Simulator sim(net);
-  sim.run(PatternSet::exhaustive(3));
   NodeId ab = *net.find_node("ab");
   NodeId sum = net.po(0).driver;
-  sim.inject({ab, true});
-  // sum does not depend on ab.
-  EXPECT_EQ(sim.faulty_value(sum)[0], sim.value(sum)[0]);
-  // cout does.
   NodeId cout = net.po(1).driver;
-  EXPECT_NE(sim.faulty_value(cout)[0], sim.value(cout)[0]);
+  inject_each(net, {{ab, true}}, [&](int, const FaultView& v) {
+    // sum does not depend on ab.
+    EXPECT_EQ(v.faulty(sum)[0], v.golden(sum)[0]);
+    // cout does.
+    EXPECT_NE(v.faulty(cout)[0], v.golden(cout)[0]);
+  });
 }
 
 TEST(SimulatorTest, SuccessiveInjectionsAreIndependent) {
   Network net = adder_bit();
-  Simulator sim(net);
-  sim.run(PatternSet::exhaustive(3));
   NodeId sum = net.po(0).driver;
-  sim.inject({*net.find_node("axb"), true});
-  uint64_t first = sim.faulty_value(sum)[0];
-  sim.inject({*net.find_node("ab"), true});
-  // After the second injection, sum must read golden again (ab not in its
-  // cone), not the stale value from the first fault.
-  EXPECT_EQ(sim.faulty_value(sum)[0], sim.value(sum)[0]);
-  sim.inject({*net.find_node("axb"), true});
-  EXPECT_EQ(sim.faulty_value(sum)[0], first);
+  NodeId axb = *net.find_node("axb");
+  NodeId ab = *net.find_node("ab");
+  std::vector<uint64_t> seen(3), golden(3);
+  inject_each(net, {{axb, true}, {ab, true}, {axb, true}},
+              [&](int i, const FaultView& v) {
+                seen[i] = v.faulty(sum)[0];
+                golden[i] = v.golden(sum)[0];
+              });
+  // The second fault must read golden at sum (ab is not in its cone), not
+  // the stale value from the first fault; the third repeats the first.
+  EXPECT_NE(seen[0], golden[0]);
+  EXPECT_EQ(seen[1], golden[1]);
+  EXPECT_EQ(seen[2], seen[0]);
 }
 
 TEST(SimulatorTest, SecondRunInvalidatesPriorFaultValues) {
-  // Regression for the epoch logic: a re-run with same-shaped patterns must
-  // not leave stale faulty values readable (golden_ is reused in place).
+  // A second batch with same-shaped patterns reuses the engine's arenas in
+  // place: values of the previous batch's fault must not stay readable.
   Network net = adder_bit();
-  Simulator sim(net);
-  sim.run(PatternSet::exhaustive(3));
   NodeId axb = *net.find_node("axb");
-  sim.inject({axb, true});
-  ASSERT_NE(sim.faulty_value(axb)[0], sim.value(axb)[0]);
-  sim.run(PatternSet::exhaustive(3));  // same shape: no reallocation path
-  EXPECT_EQ(sim.faulty_value(axb)[0], sim.value(axb)[0]);
+  NodeId ab = *net.find_node("ab");
   NodeId sum = net.po(0).driver;
-  EXPECT_EQ(sim.faulty_value(sum)[0], sim.value(sum)[0]);
+  FaultSimEngine engine(net);
+  engine.run_batch(PatternSet::exhaustive(3), {FaultSpec::stuck_at({axb, true})},
+                   [&](int, const FaultSpec&, const FaultView& v) {
+                     ASSERT_NE(v.faulty(axb)[0], v.golden(axb)[0]);
+                   });
+  engine.run_batch(PatternSet::exhaustive(3), {FaultSpec::stuck_at({ab, true})},
+                   [&](int, const FaultSpec&, const FaultView& v) {
+                     EXPECT_EQ(v.faulty(axb)[0], v.golden(axb)[0]);
+                     EXPECT_EQ(v.faulty(sum)[0], v.golden(sum)[0]);
+                   });
 }
 
-TEST(SimulatorTest, InjectForcedValidatesArguments) {
+TEST(SimulatorTest, InjectionValidatesArguments) {
   Network net = adder_bit();
-  Simulator sim(net);
   NodeId axb = *net.find_node("axb");
-  // Before run(): no pattern shape to validate against.
-  EXPECT_THROW(sim.inject_forced(axb, {}), std::logic_error);
-  sim.run(PatternSet::exhaustive(3));  // 1 word
-  EXPECT_THROW(sim.inject_forced(axb, std::vector<uint64_t>(2, 0)),
+  FaultSimEngine engine(net);
+  auto ignore = [](int, const FaultSpec&, const FaultView&) {};
+  const PatternSet patterns = PatternSet::exhaustive(3);  // 1 word
+  // Pattern shape: PI count and vector budget must fit the batch.
+  EXPECT_THROW(engine.run_batch(PatternSet::exhaustive(2),
+                                {FaultSpec::stuck_at({axb, true})}, ignore),
                std::logic_error);
-  EXPECT_THROW(sim.inject_forced(kNullNode, std::vector<uint64_t>(1, 0)),
+  EXPECT_THROW(engine.run_batch(patterns, {FaultSpec::stuck_at({axb, true})},
+                                ignore, 1, /*num_vectors=*/65),
                std::logic_error);
-  EXPECT_THROW(sim.inject_forced(net.num_nodes(), std::vector<uint64_t>(1, 0)),
+  // Fault node range.
+  EXPECT_THROW(engine.run_batch(patterns,
+                                {FaultSpec::stuck_at({kNullNode, false})},
+                                ignore),
+               std::logic_error);
+  EXPECT_THROW(engine.run_batch(patterns,
+                                {FaultSpec::stuck_at({net.num_nodes(), false})},
+                                ignore),
                std::logic_error);
   // A well-formed call still works after the failed attempts.
-  sim.inject_forced(axb, std::vector<uint64_t>(1, ~0ULL));
-  EXPECT_EQ(sim.faulty_value(axb)[0], ~0ULL);
+  int visits = 0;
+  engine.run_batch(patterns, {FaultSpec::stuck_at({axb, true})},
+                   [&](int, const FaultSpec&, const FaultView& v) {
+                     ++visits;
+                     EXPECT_EQ(v.faulty(axb)[0], ~0ULL);
+                   });
+  EXPECT_EQ(visits, 1);
 }
 
 TEST(SimulatorTest, EnumerateFaultsCoversLogicNodesTwice) {

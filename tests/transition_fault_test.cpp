@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "benchmarks/benchmarks.hpp"
 #include "core/delay_ced.hpp"
 #include "mapping/mapper.hpp"
@@ -9,6 +11,29 @@
 
 namespace apx {
 namespace {
+
+// Injects `fault` on the (launch, capture) pair through FaultSimEngine: one
+// Simulator run gives the launch frame, which gates a stuck-at site on the
+// capture patterns (transition_site).
+void inject_transition(const Network& net, const PatternSet& launch,
+                       const PatternSet& capture, const TransitionFault& fault,
+                       const std::function<void(const FaultView&)>& check) {
+  Simulator launch_sim(net);
+  launch_sim.run(launch);
+  std::vector<uint64_t> gate;
+  FaultSpec spec;
+  spec.add(transition_site(fault, launch_sim.value(fault.node), gate));
+  FaultSimEngine engine(net);
+  int visits = 0;
+  engine.run_batch(
+      capture, {spec},
+      [&](int, const FaultSpec&, const FaultView& v) {
+        ++visits;
+        check(v);
+      },
+      /*num_threads=*/1);
+  EXPECT_EQ(visits, 1);
+}
 
 TEST(TransitionFaultTest, SlowToRiseHoldsZero) {
   // Single buffer: y = a. Launch a=0, capture a=1: slow-to-rise keeps 0.
@@ -20,18 +45,19 @@ TEST(TransitionFaultTest, SlowToRiseHoldsZero) {
   PatternSet launch(1, 1), capture(1, 1);
   launch.set_word(0, 0, 0b0011);   // patterns 0,1 launch at 1; 2,3 at 0
   capture.set_word(0, 0, 0b0101);  // capture values
-  TransitionSimulator sim(net);
-  sim.run(launch, capture);
-  sim.inject({y, /*slow_to_rise=*/true});
-  // Pattern 2: 0 -> 1 rising: faulty stays 0. Pattern 0: 1 -> 1 stays 1.
-  uint64_t fv = sim.faulty_value(y)[0] & 0xF;
-  EXPECT_EQ(fv, 0b0001u);
-  // Launch mask marks exactly the rising patterns.
-  EXPECT_EQ(sim.launch_mask({y, true})[0] & 0xF, 0b0100u);
-
-  sim.inject({y, /*slow_to_rise=*/false});
-  // Falling pattern 1 (1 -> 0): faulty stays 1.
-  EXPECT_EQ(sim.faulty_value(y)[0] & 0xF, 0b0111u);
+  inject_transition(net, launch, capture, {y, /*slow_to_rise=*/true},
+                    [&](const FaultView& v) {
+    // Pattern 2: 0 -> 1 rising: faulty stays 0. Pattern 0: 1 -> 1 stays 1.
+    EXPECT_EQ(v.faulty(y)[0] & 0xF, 0b0001u);
+    // The fault acts exactly on the launched (rising) patterns.
+    EXPECT_EQ((v.faulty(y)[0] ^ v.golden(y)[0]) & 0xF, 0b0100u);
+  });
+  inject_transition(net, launch, capture, {y, /*slow_to_rise=*/false},
+                    [&](const FaultView& v) {
+    // Falling pattern 1 (1 -> 0): faulty stays 1.
+    EXPECT_EQ(v.faulty(y)[0] & 0xF, 0b0111u);
+    EXPECT_EQ((v.faulty(y)[0] ^ v.golden(y)[0]) & 0xF, 0b0010u);
+  });
 }
 
 TEST(TransitionFaultTest, FaultPropagatesThroughCone) {
@@ -50,11 +76,11 @@ TEST(TransitionFaultTest, FaultPropagatesThroughCone) {
   launch.set_word(1, 0, 0b1);
   capture.set_word(0, 0, 0b1);
   capture.set_word(1, 0, 0b1);
-  TransitionSimulator sim(net);
-  sim.run(launch, capture);
-  EXPECT_EQ(sim.value(z)[0] & 1, 0u);  // fault-free: z = ~(1&1) = 0
-  sim.inject({y, true});
-  EXPECT_EQ(sim.faulty_value(z)[0] & 1, 1u);  // stale 0 at y -> z = 1
+  inject_transition(net, launch, capture, {y, true},
+                    [&](const FaultView& v) {
+    EXPECT_EQ(v.golden(z)[0] & 1, 0u);  // fault-free: z = ~(1&1) = 0
+    EXPECT_EQ(v.faulty(z)[0] & 1, 1u);  // stale 0 at y -> z = 1
+  });
 }
 
 TEST(TransitionFaultTest, NoTransitionNoEffect) {
@@ -64,12 +90,13 @@ TEST(TransitionFaultTest, NoTransitionNoEffect) {
   net.add_po("y", y);
   PatternSet same(1, 1);
   same.set_word(0, 0, 0xF0F0F0F0F0F0F0F0ULL);
-  TransitionSimulator sim(net);
-  sim.run(same, same);
-  sim.inject({y, true});
-  EXPECT_EQ(sim.faulty_value(y)[0], sim.value(y)[0]);
-  sim.inject({y, false});
-  EXPECT_EQ(sim.faulty_value(y)[0], sim.value(y)[0]);
+  for (bool slow_to_rise : {true, false}) {
+    inject_transition(net, same, same, {y, slow_to_rise},
+                      [&](const FaultView& v) {
+      EXPECT_FALSE(v.touched(y));
+      EXPECT_EQ(v.faulty(y)[0], v.golden(y)[0]);
+    });
+  }
 }
 
 TEST(TransitionFaultTest, EnumerationCoversPiStemsAndLogicNodesTwice) {
@@ -102,12 +129,12 @@ TEST(TransitionFaultTest, PiStemTransitionIsEnumeratedAndDetected) {
   launch.set_word(1, 0, 0b1);   // b: steady 1
   capture.set_word(0, 0, 0b1);
   capture.set_word(1, 0, 0b1);
-  TransitionSimulator sim(net);
-  sim.run(launch, capture);
-  EXPECT_EQ(sim.value(y)[0] & 1, 1u);  // fault-free capture: y = 1
-  sim.inject({a, /*slow_to_rise=*/true});
-  // The stale 0 on the stem propagates: the fault is detected at the PO.
-  EXPECT_EQ(sim.faulty_value(y)[0] & 1, 0u);
+  inject_transition(net, launch, capture, {a, /*slow_to_rise=*/true},
+                    [&](const FaultView& v) {
+    EXPECT_EQ(v.golden(y)[0] & 1, 1u);  // fault-free capture: y = 1
+    // The stale 0 on the stem propagates: the fault is detected at the PO.
+    EXPECT_EQ(v.faulty(y)[0] & 1, 0u);
+  });
 }
 
 TEST(DelayCedTest, DelayFaultsAreDetectedByTheSameCheckers) {
@@ -151,24 +178,24 @@ TEST(DelayCedTest, PiStemFaultsAreCommonModeInExactDuplication) {
   CedDesign ced =
       build_ced_design(mapped, mapped, {ApproxDirection::kZeroApprox});
 
-  TransitionSimulator sim(ced.design);
   PatternSet launch(2, 1), capture(2, 1);
   launch.set_word(0, 0, 0b0);  // a: 0 -> 1 rising
   launch.set_word(1, 0, 0b1);  // b: steady 1
   capture.set_word(0, 0, 0b1);
   capture.set_word(1, 0, 0b1);
-  sim.run(launch, capture);
-  sim.inject({a, /*slow_to_rise=*/true});
-  const NodeId out = ced.functional_outputs[0];
-  // The functional output is erroneous...
-  EXPECT_NE(sim.faulty_value(out)[0] & 1, sim.value(out)[0] & 1);
-  // ...but the rails agree exactly where duplication would flag an error
-  // only if the two copies diverged — they cannot, the stale input is
-  // common to both. Rails agree <=> error flagged; here they must
-  // *disagree* (no detection).
-  const uint64_t z1 = sim.faulty_value(ced.error_pair.rail1)[0] & 1;
-  const uint64_t z2 = sim.faulty_value(ced.error_pair.rail2)[0] & 1;
-  EXPECT_NE(z1, z2);
+  inject_transition(ced.design, launch, capture, {a, /*slow_to_rise=*/true},
+                    [&](const FaultView& v) {
+    const NodeId out = ced.functional_outputs[0];
+    // The functional output is erroneous...
+    EXPECT_NE(v.faulty(out)[0] & 1, v.golden(out)[0] & 1);
+    // ...but the rails agree exactly where duplication would flag an
+    // error only if the two copies diverged — they cannot, the stale
+    // input is common to both. Rails agree <=> error flagged; here they
+    // must *disagree* (no detection).
+    const uint64_t z1 = v.faulty(ced.error_pair.rail1)[0] & 1;
+    const uint64_t z2 = v.faulty(ced.error_pair.rail2)[0] & 1;
+    EXPECT_NE(z1, z2);
+  });
 }
 
 TEST(DelayCedTest, CoverageBoundedAndDeterministic) {
@@ -184,6 +211,28 @@ TEST(DelayCedTest, CoverageBoundedAndDeterministic) {
   CoverageResult two = evaluate_delay_fault_coverage(ced, dopt);
   EXPECT_EQ(one.detected, two.detected);
   EXPECT_LE(one.detected, one.erroneous);
+}
+
+// Counts recorded from the two-simulator transition path the engine
+// replaced (same mt19937_64 draws per sample): the launch-gated stuck-at
+// site must reproduce them exactly.
+TEST(DelayCedTest, CoverageReproducesPinnedCounts) {
+  Network net = make_benchmark("cmp4");
+  Network mapped = technology_map(quick_synthesis(net));
+  std::vector<ApproxDirection> dirs(net.num_pos(),
+                                    ApproxDirection::kZeroApprox);
+  CedDesign ced = build_ced_design(mapped, mapped, dirs);
+  DelayCoverageOptions dopt;
+  dopt.num_fault_samples = 200;
+  CoverageResult stems = evaluate_delay_fault_coverage(ced, dopt);
+  EXPECT_EQ(stems.runs, 51200);
+  EXPECT_EQ(stems.erroneous, 3400);
+  EXPECT_EQ(stems.detected, 1364);
+  dopt.include_pi_stems = false;
+  CoverageResult gates = evaluate_delay_fault_coverage(ced, dopt);
+  EXPECT_EQ(gates.runs, 51200);
+  EXPECT_EQ(gates.erroneous, 3467);
+  EXPECT_EQ(gates.detected, 1742);
 }
 
 }  // namespace
