@@ -51,6 +51,8 @@ struct ModeResult {
   int fallbacks = 0;  // PO cones lost to BddOverflow (SAT would answer)
   uint64_t reorder_runs = 0;
   double reorder_time_ms = 0.0;
+  uint64_t sift_swaps = 0;
+  uint64_t sift_node_rewrites = 0;
   double avg_probe_length = 0.0;
   std::vector<int> built;         // PO indices with both f and g built
   std::vector<uint8_t> verdicts;  // implies(g, f), aligned with `built`
@@ -108,6 +110,8 @@ ModeResult run_mode(const Network& net, const Network& weak, Mode mode,
   r.peak_nodes = mgr.stats().peak_nodes;
   r.reorder_runs = mgr.stats().reorder_runs;
   r.reorder_time_ms = mgr.stats().reorder_time_ms;
+  r.sift_swaps = mgr.stats().sift_swaps;
+  r.sift_node_rewrites = mgr.stats().sift_node_rewrites;
   r.avg_probe_length = mgr.stats().avg_probe_length();
   return r;
 }
@@ -284,11 +288,14 @@ int main(int argc, char** argv) {
           f,
           "     \"%s\": {\"peak_nodes\": %llu, \"build_seconds\": %.4f, "
           "\"fallbacks\": %d, \"reorder_runs\": %llu, "
-          "\"reorder_time_ms\": %.3f, \"avg_probe_length\": %.3f},\n",
+          "\"reorder_time_ms\": %.3f, \"sift_swaps\": %llu, "
+          "\"sift_node_rewrites\": %llu, \"avg_probe_length\": %.3f},\n",
           kModeKeys[m], static_cast<unsigned long long>(mr.peak_nodes),
           mr.build_seconds, mr.fallbacks,
           static_cast<unsigned long long>(mr.reorder_runs),
-          mr.reorder_time_ms, mr.avg_probe_length);
+          mr.reorder_time_ms, static_cast<unsigned long long>(mr.sift_swaps),
+          static_cast<unsigned long long>(mr.sift_node_rewrites),
+          mr.avg_probe_length);
     }
     std::fprintf(f, "     \"peak_reduction_vs_natural\": %.2f, "
                  "\"results_bit_identical\": %s}%s\n",

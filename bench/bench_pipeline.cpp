@@ -6,9 +6,11 @@
 // bit-identical across the two runs; any drift fails the benchmark.
 // Emits BENCH_pipeline.json (fields documented in EXPERIMENTS.md).
 //
-// A third run with tracing enabled (core/trace.hpp) must reproduce the
+// Two more runs with tracing enabled (core/trace.hpp) must reproduce the
 // same rows bit-for-bit — instrumentation is observability, not a third
-// source of nondeterminism — and contributes the per-phase wall-time
+// source of nondeterminism. The cold one (order cache cleared) records how
+// much of a one-shot run Rudell sifting takes (cold_reorder_ms and
+// cold_reorder_share); the warm one contributes the per-phase wall-time
 // breakdown exported in the JSON's "phases" array.
 //
 // Exit code: non-zero when the runs are not bit-identical, or when the
@@ -139,13 +141,33 @@ int main(int argc, char** argv) {
                   .c_str(),
               parallel.seconds);
 
-  // Third pass with tracing enabled: the rows must still be bit-identical
+  // Cold traced pass: the profile of a one-shot run, where every circuit
+  // sifts from the static order. Only its sifting share is exported; it is
+  // recorded, not gated.
+  trace::reset();
+  trace::set_trace_enabled(true);
+  SuiteRun cold_profiled = run_suite(nets, parallel_threads);
+  trace::set_trace_enabled(false);
+  double cold_pipeline_ms = 0.0;
+  double cold_reorder_ms = 0.0;
+  for (const trace::PhaseStat& p : trace::phase_summary()) {
+    if (p.name == "pipeline") cold_pipeline_ms = p.total_ms;
+    if (p.name == "bdd.reorder") cold_reorder_ms = p.self_ms;
+  }
+  const double cold_reorder_share =
+      cold_pipeline_ms > 0.0 ? cold_reorder_ms / cold_pipeline_ms : 0.0;
+  std::printf("%-24s %8.3fs (tracing enabled, cold: bdd.reorder %.0f ms, "
+              "%.1f%% of the pipeline)\n",
+              "suite, traced cold", cold_profiled.seconds, cold_reorder_ms,
+              100.0 * cold_reorder_share);
+
+  // Warm traced pass: the rows must still be bit-identical
   // (spans/counters observe, they must not perturb; queries are
   // order-invariant, so a warm cache cannot change them either), and its
   // phase summary becomes the exported per-phase breakdown. This pass
-  // reuses the orders converged during the parallel run — the profile it
+  // reuses the orders the cold traced pass converged — the profile it
   // exports is the steady state the order cache exists to reach, with
-  // cold sifting visible in serial_seconds/parallel_seconds instead.
+  // cold sifting visible in the cold pass and serial/parallel_seconds.
   trace::reset();
   trace::set_trace_enabled(true);
   SuiteRun profiled = run_suite(nets, parallel_threads,
@@ -158,7 +180,8 @@ int main(int argc, char** argv) {
 
   const bool identical = rows_identical(serial.rows, parallel.rows);
   const bool profiled_identical =
-      rows_identical(parallel.rows, profiled.rows);
+      rows_identical(parallel.rows, profiled.rows) &&
+      rows_identical(parallel.rows, cold_profiled.rows);
   const double speedup =
       parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0;
   // The 2.5x bar needs real cores; enforce it only where they exist.
@@ -169,7 +192,7 @@ int main(int argc, char** argv) {
               enforce_gate ? "enforced" : "advisory: < 4 cores");
   std::printf("per-row outputs bit-identical: %s\n",
               identical ? "yes" : "NO");
-  std::printf("traced rerun bit-identical:    %s\n\n",
+  std::printf("traced reruns bit-identical:   %s\n\n",
               profiled_identical ? "yes" : "NO");
 
   std::printf("%-8s %7s %9s %7s %7s %7s\n", "circuit", "gates", "checkgen",
@@ -218,6 +241,8 @@ int main(int argc, char** argv) {
                identical ? "true" : "false");
   std::fprintf(f, "  \"profiled_identical\": %s,\n",
                profiled_identical ? "true" : "false");
+  std::fprintf(f, "  \"cold_reorder_ms\": %.3f,\n", cold_reorder_ms);
+  std::fprintf(f, "  \"cold_reorder_share\": %.4f,\n", cold_reorder_share);
   std::fprintf(f, "  \"phases\": [\n");
   for (size_t i = 0; i < phases.size(); ++i) {
     const trace::PhaseStat& p = phases[i];

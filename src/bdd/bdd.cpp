@@ -5,6 +5,9 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "core/trace.hpp"
 
@@ -34,12 +37,15 @@ BddManager::BddManager(int num_vars, size_t max_nodes,
   level2var_.resize(num_vars_ + 1);
   install_order(level_to_var);
   unique_slots_.assign(1024, kInvalidRef);
-  // Direct-mapped lossy cache: sized to the budget (bounded at 2^20
-  // entries = 16 MB) so big managers don't thrash on a tiny cache.
-  size_t ite_cap = std::clamp(pow2_at_least(max_nodes / 4, size_t{1} << 12),
-                              size_t{1} << 12, size_t{1} << 20);
-  ite_cache_.assign(ite_cap, IteEntry{});
+  ite_cache_.assign(ite_capacity(), IteEntry{});
   stats_.peak_nodes = 2;
+}
+
+BddManager::~BddManager() {
+  if (trace::enabled()) {
+    trace::counter("bdd.peak_nodes", trace::CounterKind::kGauge)
+        .set_max(static_cast<int64_t>(stats_.peak_nodes));
+  }
 }
 
 void BddManager::install_order(const std::vector<int>& level_to_var) {
@@ -83,40 +89,25 @@ void BddManager::unique_insert(Ref id) {
   unique_slots_[idx] = id;
 }
 
-void BddManager::unique_erase(Ref id) {
-  const size_t mask = unique_slots_.size() - 1;
-  size_t idx = hash_triple(var_[id], kids_[id].lo, kids_[id].hi) & mask;
-  while (unique_slots_[idx] != id) {
-    assert(unique_slots_[idx] != kInvalidRef && "erasing a node not in table");
-    idx = (idx + 1) & mask;
-  }
-  // Backward-shift deletion: slide later cluster members up into the hole
-  // whenever their home slot is at or before it, so linear probing never
-  // needs tombstones.
-  size_t hole = idx;
-  size_t probe = idx;
-  while (true) {
-    probe = (probe + 1) & mask;
-    Ref s = unique_slots_[probe];
-    if (s == kInvalidRef) break;
-    size_t home = hash_triple(var_[s], kids_[s].lo, kids_[s].hi) & mask;
-    if (((probe - home) & mask) >= ((probe - hole) & mask)) {
-      unique_slots_[hole] = s;
-      hole = probe;
-    }
-  }
-  unique_slots_[hole] = kInvalidRef;
-  --unique_count_;
-}
-
-void BddManager::unique_grow() {
-  std::vector<Ref> old = std::move(unique_slots_);
-  unique_slots_.assign(old.size() * 2, kInvalidRef);
-  // Every live non-terminal node is (exactly once) in the table;
-  // re-inserting from the arena avoids touching the old slot array.
+void BddManager::unique_rebuild(size_t capacity) {
+  unique_slots_.assign(capacity, kInvalidRef);
+  unique_count_ = live_internal();
+  // Every live non-terminal node goes in exactly once; inserting from the
+  // arena needs no old slot array.
   for (Ref id = 2; id < static_cast<Ref>(var_.size()); ++id) {
     if (var_[id] != kFreeVar) unique_insert(id);
   }
+}
+
+size_t BddManager::ite_capacity() const {
+  // Direct-mapped lossy cache: sized to the budget (bounded at 2^20
+  // entries = 16 MB) so big managers don't thrash on a tiny cache.
+  return std::clamp(pow2_at_least(max_nodes_ / 4, size_t{1} << 12),
+                    size_t{1} << 12, size_t{1} << 20);
+}
+
+size_t BddManager::unique_fit_capacity() const {
+  return pow2_at_least((live_internal() + 1) * 10 / 7, 1024);
 }
 
 BddManager::Ref BddManager::alloc_node(int32_t var, Ref lo, Ref hi) {
@@ -153,7 +144,9 @@ BddManager::Ref BddManager::make_node(int32_t var, Ref lo, Ref hi) {
   Ref id = alloc_node(var, lo, hi);
   unique_slots_[idx] = id;
   ++unique_count_;
-  if ((unique_count_ + 1) * 10 >= unique_slots_.size() * 7) unique_grow();
+  if ((unique_count_ + 1) * 10 >= unique_slots_.size() * 7) {
+    unique_rebuild(unique_slots_.size() * 2);
+  }
   // Reordering here would move levels under the feet of in-flight
   // recursions (ite_rec holds refs and a top level on its stack), so only
   // latch the request; cooperative callers reorder() at a safe point.
@@ -347,12 +340,31 @@ size_t BddManager::size(Ref f) const {
 
 std::vector<BddManager::Ref> BddManager::garbage_collect(
     const std::vector<Ref>& roots) {
+  std::vector<Ref> remap = compact_arena(roots);
+  unique_rebuild(unique_fit_capacity());
+  ite_cache_.assign(ite_capacity(), IteEntry{});
+  return remap;
+}
+
+std::vector<BddManager::Ref> BddManager::compact_arena(
+    const std::vector<Ref>& roots) {
   ++stats_.gc_runs;
   if (trace::enabled()) {
     trace::counter("bdd.gc_runs").add(1);
     trace::counter("bdd.peak_nodes", trace::CounterKind::kGauge)
         .set_max(static_cast<int64_t>(stats_.peak_nodes));
   }
+  // Refs are about to change meaning, which invalidates the unique table,
+  // the ITE cache and the scratch memos: release them all before the
+  // compaction allocates (callers rebuild the tables; the memos regrow on
+  // demand).
+  std::vector<Ref>().swap(unique_slots_);
+  unique_count_ = 0;
+  std::vector<IteEntry>().swap(ite_cache_);
+  std::vector<uint32_t>().swap(stamp_);
+  std::vector<double>().swap(frac_memo_);
+  std::vector<Ref>().swap(ref_memo_);
+  stamp_epoch_ = 0;
   std::vector<Ref> remap(var_.size(), kInvalidRef);
   std::vector<int32_t> kept_var;
   std::vector<BddChildren> kept_kids;
@@ -404,19 +416,6 @@ std::vector<BddManager::Ref> BddManager::garbage_collect(
   var_ = std::move(kept_var);
   kids_ = std::move(kept_kids);
   free_list_.clear();
-
-  // Rebuild the unique table at a capacity fitting the survivors.
-  unique_count_ = var_.size() - 2;
-  unique_slots_.assign(pow2_at_least((unique_count_ + 1) * 10 / 7, 1024),
-                       kInvalidRef);
-  for (Ref id = 2; id < static_cast<Ref>(var_.size()); ++id) {
-    unique_insert(id);
-  }
-
-  // Refs changed meaning: drop every cached/memoized entry.
-  std::fill(ite_cache_.begin(), ite_cache_.end(), IteEntry{});
-  stamp_.assign(var_.size(), 0);
-  stamp_epoch_ = 0;
   return remap;
 }
 
@@ -433,65 +432,91 @@ void BddManager::unregister_external_refs(std::vector<Ref>* slots) {
       external_slots_.end());
 }
 
-void BddManager::deref(Ref r) {
-  // Drop one reference; cascade-free nodes whose count hits zero. Freed
-  // slots leave the unique table, get var = kFreeVar (so stale var_nodes_
-  // entries are skipped), and join the free list for reuse.
-  std::vector<Ref> stack = {r};
-  while (!stack.empty()) {
-    Ref x = stack.back();
-    stack.pop_back();
-    if (x <= 1) continue;
-    assert(parent_count_[x] > 0 && "deref of an unreferenced node");
-    if (--parent_count_[x] != 0) continue;
-    unique_erase(x);  // before the key (var, lo, hi) is clobbered
-    stack.push_back(kids_[x].lo);
-    stack.push_back(kids_[x].hi);
-    var_[x] = kFreeVar;
-    free_list_.push_back(x);
+size_t BddManager::sift_find(const SiftTable& t, Ref lo, Ref hi) {
+  const size_t mask = t.slots.size() - 1;
+  size_t i = sift_home(lo, hi, mask);
+  while (t.slots[i].id != kInvalidRef &&
+         (t.slots[i].lo != lo || t.slots[i].hi != hi)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void BddManager::sift_resize(SiftTable& t, size_t capacity) {
+  std::vector<SiftSlot> old(capacity, SiftSlot{kInvalidRef, 0, 0});
+  old.swap(t.slots);
+  const size_t mask = capacity - 1;
+  for (const SiftSlot& e : old) {
+    if (e.id == kInvalidRef) continue;
+    size_t i = sift_home(e.lo, e.hi, mask);
+    while (t.slots[i].id != kInvalidRef) i = (i + 1) & mask;
+    t.slots[i] = e;
   }
 }
 
-BddManager::Ref BddManager::swap_find_or_make(int32_t var, Ref lo, Ref hi) {
-  // make_node twin for use inside swaps: maintains parent_count_ (result's
-  // count is pre-incremented for the caller's reference; a fresh node also
-  // counts its two children) and var_nodes_. No reorder latch, no node cap
-  // — the sift_var max-growth abort bounds temporary growth instead.
-  Ref id;
+void BddManager::sift_put(SiftTable& t, size_t slot, SiftSlot entry) {
+  assert(t.slots[slot].id == kInvalidRef && "key already in the subtable");
+  t.slots[slot] = entry;
+  if (++t.used * 2 > t.slots.size()) sift_resize(t, t.slots.size() * 2);
+}
+
+void BddManager::sift_erase(SiftTable& t, Ref lo, Ref hi) {
+  const size_t mask = t.slots.size() - 1;
+  size_t hole = sift_find(t, lo, hi);
+  assert(t.slots[hole].id != kInvalidRef && "erasing a key not in table");
+  // Backward-shift deletion over the stored keys: slide later run members
+  // into the hole when their home is at or before it (no tombstones).
+  for (size_t probe = (hole + 1) & mask; t.slots[probe].id != kInvalidRef;
+       probe = (probe + 1) & mask) {
+    const size_t home = sift_home(t.slots[probe].lo, t.slots[probe].hi, mask);
+    if (((probe - home) & mask) >= ((probe - hole) & mask)) {
+      t.slots[hole] = t.slots[probe];
+      hole = probe;
+    }
+  }
+  t.slots[hole].id = kInvalidRef;
+  // Give space back once the table is 1/8 full, so the subtables track
+  // their variables' current sizes rather than the largest ever reached.
+  if (--t.used * 8 < t.slots.size() && t.slots.size() > kMinSiftSlots) {
+    sift_resize(t, t.slots.size() / 2);
+  }
+}
+
+BddManager::Ref BddManager::sift_find_or_make(int32_t var, Ref lo, Ref hi) {
+  // No reorder latch and no node cap: the sift_var max-growth abort bounds
+  // temporary growth instead.
   if (lo == hi) {
-    id = lo;
-  } else {
-    const size_t mask = unique_slots_.size() - 1;
-    size_t idx = hash_triple(var, lo, hi) & mask;
-    ++stats_.unique_lookups;
-    Ref found = kInvalidRef;
-    while (true) {
-      ++stats_.unique_probes;
-      Ref slot = unique_slots_[idx];
-      if (slot == kInvalidRef) break;
-      if (var_[slot] == var && kids_[slot].lo == lo &&
-          kids_[slot].hi == hi) {
-        found = slot;
-        break;
-      }
-      idx = (idx + 1) & mask;
-    }
-    if (found != kInvalidRef) {
-      id = found;
-    } else {
-      id = alloc_node(var, lo, hi);
-      if (parent_count_.size() <= id) parent_count_.resize(id + 1, 0);
-      parent_count_[id] = 0;
-      ++parent_count_[lo];
-      ++parent_count_[hi];
-      unique_slots_[idx] = id;
-      ++unique_count_;
-      if ((unique_count_ + 1) * 10 >= unique_slots_.size() * 7) unique_grow();
-      var_nodes_[var].push_back(id);
-    }
+    ++parent_count_[lo];
+    return lo;
+  }
+  SiftTable& t = sift_tables_[var];
+  const size_t i = sift_find(t, lo, hi);
+  Ref id = t.slots[i].id;
+  if (id == kInvalidRef) {
+    id = alloc_node(var, lo, hi);
+    if (parent_count_.size() <= id) parent_count_.resize(id + 1, 0);
+    parent_count_[id] = 0;
+    ++parent_count_[lo];
+    ++parent_count_[hi];
+    sift_put(t, i, {id, lo, hi});
+    var_nodes_[var].push_back(id);
   }
   ++parent_count_[id];
   return id;
+}
+
+void BddManager::free_dead(Ref n) {
+  // The node's children never die with it: each rewritten parent took its
+  // own reference to them (through a new upper-variable node or directly),
+  // so the release is a plain decrement — no cascade, no stack.
+  const Ref lo = kids_[n].lo;
+  const Ref hi = kids_[n].hi;
+  sift_erase(sift_tables_[var_[n]], lo, hi);
+  assert(parent_count_[lo] > 1 && parent_count_[hi] > 1);
+  --parent_count_[lo];
+  --parent_count_[hi];
+  var_[n] = kFreeVar;  // its stale list entry is skipped from now on
+  free_list_.push_back(n);
 }
 
 void BddManager::build_interaction_matrix(const std::vector<Ref>& roots) {
@@ -540,9 +565,10 @@ void BddManager::swap_levels(int level) {
   // they are rewritten *in place* (same Ref, same function, new label y),
   // which is what keeps every live Ref stable across sifting. Nodes not
   // at these two levels are untouched by construction.
+  ++stats_.sift_swaps;
   const int32_t x = level2var_[level];
   const int32_t y = level2var_[level + 1];
-  if (!interact_.empty() && !interacts(x, y)) {
+  if (!interacts(x, y)) {
     // Disjoint supports: no x-node has a y-child, so the swap is pure
     // permutation bookkeeping — the dominant case on wide, shallow
     // circuits where most PI pairs never meet in one cone.
@@ -551,9 +577,15 @@ void BddManager::swap_levels(int level) {
     var2level_[y] = level;
     return;
   }
-  std::vector<Ref> old_list = std::move(var_nodes_[x]);
-  var_nodes_[x].clear();
-  for (Ref n : old_list) {
+  // x's list is rebuilt from a copy: swapping buffers with the scratch
+  // instead would pass capacity from variable to variable until every list
+  // carried the largest one.
+  std::vector<Ref>& x_nodes = var_nodes_[x];
+  sift_scratch_.assign(x_nodes.begin(), x_nodes.end());
+  x_nodes.clear();
+  SiftTable& tx = sift_tables_[x];
+  SiftTable& ty = sift_tables_[y];
+  for (Ref n : sift_scratch_) {
     if (var_[n] != x) continue;  // stale entry: freed/reused/moved
     const Ref f0 = kids_[n].lo;
     const Ref f1 = kids_[n].hi;
@@ -561,29 +593,37 @@ void BddManager::swap_levels(int level) {
     const bool hi_y = var_[f1] == y;
     if (!lo_y && !hi_y) {
       // Independent of y: keeps label x, silently moves down one level.
-      var_nodes_[x].push_back(n);
+      x_nodes.push_back(n);
       continue;
     }
     const Ref f00 = lo_y ? kids_[f0].lo : f0;
     const Ref f01 = lo_y ? kids_[f0].hi : f0;
     const Ref f10 = hi_y ? kids_[f1].lo : f1;
     const Ref f11 = hi_y ? kids_[f1].hi : f1;
-    // Build the new children before erasing n: n is still in the unique
-    // table under its old key, so a rehash here re-inserts it correctly.
-    const Ref g0 = swap_find_or_make(x, f00, f10);
-    const Ref g1 = swap_find_or_make(x, f01, f11);
+    // The new children's keys hold no y-child, so they never match a
+    // y-dependent x-node still indexed under its old key.
+    const Ref g0 = sift_find_or_make(x, f00, f10);
+    const Ref g1 = sift_find_or_make(x, f01, f11);
     assert(g0 != g1 && "swap produced a redundant node");
-    unique_erase(n);
+    sift_erase(tx, f0, f1);
     var_[n] = y;
     kids_[n] = {g0, g1};
-    unique_insert(n);
-    ++unique_count_;  // unique_insert is count-neutral; rebalance the erase
+    sift_put(ty, sift_find(ty, g0, g1), {n, g0, g1});
     var_nodes_[y].push_back(n);
+    ++stats_.sift_node_rewrites;
     // New references were counted above; dropping the old ones last means
-    // shared children never see a transient zero count.
-    deref(f0);
-    deref(f1);
+    // shared children never see a transient zero. Only a y-child can die
+    // (g0 and g1 hold any other child), and it is freed at once, f0 before
+    // f1, so its slot is reused within this swap as sifting always has.
+    --parent_count_[f0];
+    --parent_count_[f1];
+    if (lo_y && parent_count_[f0] == 0) free_dead(f0);
+    if (hi_y && parent_count_[f1] == 0) free_dead(f1);
   }
+  // A list that shrank far below its buffer gives the space back (rare:
+  // its size has to fall fourfold first), so the lists track their current
+  // sizes rather than the largest each one ever reached.
+  if (x_nodes.capacity() > 4 * x_nodes.size() + 64) x_nodes.shrink_to_fit();
   std::swap(level2var_[level], level2var_[level + 1]);
   var2level_[x] = level + 1;
   var2level_[y] = level;
@@ -646,9 +686,20 @@ void BddManager::sift(const std::vector<Ref>& roots) {
   for (Ref r : roots) {
     if (r != kInvalidRef) ++parent_count_[r];
   }
+  // Arena order after the collection is the visit order swaps start from.
   var_nodes_.assign(num_vars_, {});
   for (Ref r = 2; r < static_cast<Ref>(var_.size()); ++r) {
     var_nodes_[var_[r]].push_back(r);
+  }
+  sift_tables_.assign(num_vars_, {});
+  for (int v = 0; v < num_vars_; ++v) {
+    SiftTable& t = sift_tables_[v];
+    t.slots.assign(pow2_at_least(2 * var_nodes_[v].size() + 2, kMinSiftSlots),
+                   SiftSlot{kInvalidRef, 0, 0});
+    for (Ref r : var_nodes_[v]) {
+      sift_put(t, sift_find(t, kids_[r].lo, kids_[r].hi),
+               {r, kids_[r].lo, kids_[r].hi});
+    }
   }
   build_interaction_matrix(roots);
 
@@ -664,6 +715,9 @@ void BddManager::sift(const std::vector<Ref>& roots) {
     std::vector<std::pair<size_t, int>> occupancy;
     occupancy.reserve(num_vars_);
     for (int v = 0; v < num_vars_; ++v) {
+      // Counts list entries with a matching label: a slot freed and reused
+      // for the same variable before its stale entry was dropped counts
+      // twice. Sift orders depend on these counts (tests pin them).
       size_t count = 0;
       for (Ref r : var_nodes_[v]) count += var_[r] == v;
       // Lower-bound prune: the sweep for a variable with c nodes cannot
@@ -686,9 +740,21 @@ void BddManager::sift(const std::vector<Ref>& roots) {
     if (now + std::max<size_t>(1, prev / 50) >= prev) break;
     prev = now;
   }
-  parent_count_.clear();
-  var_nodes_.clear();
-  interact_.clear();
+  [[maybe_unused]] size_t table_bytes = 0;
+  for (const SiftTable& t : sift_tables_) {
+    table_bytes += t.slots.capacity() * sizeof(SiftSlot);
+  }
+  std::vector<uint32_t>().swap(parent_count_);
+  std::vector<std::vector<Ref>>().swap(var_nodes_);
+  std::vector<SiftTable>().swap(sift_tables_);
+  std::vector<Ref>().swap(sift_scratch_);
+  std::vector<uint64_t>().swap(interact_);
+#ifdef __GLIBC__
+  // The subtables were many mid-sized heap blocks; hand their pages back
+  // so a big sift leaves no resident residue. Below about a megabyte the
+  // heap walk costs more than it returns.
+  if (table_bytes >= (size_t{1} << 20)) malloc_trim(0);
+#endif
 }
 
 std::vector<BddManager::Ref> BddManager::reorder(
@@ -725,7 +791,9 @@ std::vector<BddManager::Ref> BddManager::reorder(
     return identity;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Ref> remap = garbage_collect(roots);
+  const uint64_t swaps0 = stats_.sift_swaps;
+  const uint64_t rewrites0 = stats_.sift_node_rewrites;
+  std::vector<Ref> remap = compact_arena(roots);
   for (std::vector<Ref>* slots : external_slots_) {
     for (Ref& r : *slots) {
       if (r != kInvalidRef) r = remap[r];
@@ -738,9 +806,16 @@ std::vector<BddManager::Ref> BddManager::reorder(
     sift(roots);
   }
   in_reorder_ = false;
+  // The build resumes right after a reorder: leave the table room to grow.
+  unique_rebuild(2 * unique_fit_capacity());
+  ite_cache_.assign(ite_capacity(), IteEntry{});
   ++stats_.reorder_runs;
   if (trace::enabled()) {
     trace::counter("bdd.reorder_runs").add(1);
+    trace::counter("bdd.sift_swaps")
+        .add(static_cast<int64_t>(stats_.sift_swaps - swaps0));
+    trace::counter("bdd.sift_node_rewrites")
+        .add(static_cast<int64_t>(stats_.sift_node_rewrites - rewrites0));
     trace::counter("bdd.peak_nodes", trace::CounterKind::kGauge)
         .set_max(static_cast<int64_t>(stats_.peak_nodes));
   }

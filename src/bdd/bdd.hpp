@@ -36,6 +36,20 @@
 // them in place. make_node latches a reorder request when the live arena
 // crosses the growth threshold; cooperative callers poll reorder_pending()
 // at safe points (no operation in flight) and invoke reorder().
+//
+// The swap kernel follows CUDD's cuddSwapInPlace. While a sift runs, the
+// global unique table, the ITE cache and the scratch memos are released
+// (the collection that opens reorder() invalidates them anyway), and every
+// variable owns a subtable: a sparse (lo, hi) -> ref index that keeps its
+// keys in the slots, so probes and erases never read the arena and stay
+// within one small table. A swap visits the upper variable's node list,
+// rewrites the nodes that reference the lower variable in place, and frees
+// a lower-level node the moment its last parent is rewritten. Freeing is a
+// plain decrement of its two children (they are held by the rewritten
+// parents, so nothing cascades) and allocates nothing. The global tables
+// are rebuilt once, after the sift. Sifting visits, allocates and frees
+// nodes in the same order as the original hash-table kernel, so every
+// reorder walks the same sizes to the same order; tests pin this.
 #pragma once
 
 #include <cstdint>
@@ -64,6 +78,9 @@ class BddManager {
   /// (level 0 = top). Empty selects the identity order.
   explicit BddManager(int num_vars, size_t max_nodes = 8u << 20,
                       std::vector<int> level_to_var = {});
+  /// Publishes the peak_nodes gauge when tracing is on, so builds that
+  /// never collect or sift report their high-water mark too.
+  ~BddManager();
 
   int num_vars() const { return num_vars_; }
   /// Arena extent, including freed (reusable) slots.
@@ -211,6 +228,9 @@ class BddManager {
     uint64_t gc_runs = 0;       ///< garbage_collect invocations
     uint64_t reorder_runs = 0;  ///< reorder() invocations that sifted
     uint64_t reorder_skipped = 0;  ///< reorder() calls absorbed by the budget
+    uint64_t sift_swaps = 0;  ///< adjacent-level swaps performed by sifting
+    /// Nodes relabelled in place by those swaps (the swaps' real work).
+    uint64_t sift_node_rewrites = 0;
     double reorder_time_ms = 0.0;  ///< total wall time inside reorder()
     /// Mean slots inspected per unique-table lookup (1.0 = collision-free).
     double avg_probe_length() const {
@@ -264,20 +284,55 @@ class BddManager {
   int32_t var_of(Ref f) const { return var_[f]; }
   int32_t level_of(Ref f) const { return var2level_[var_[f]]; }
   Ref ite_rec(Ref f, Ref g, Ref h);
-  size_t unique_find_slot(int32_t var, Ref lo, Ref hi) const;
   void unique_insert(Ref id);
-  void unique_erase(Ref id);
-  void unique_grow();
+  /// Re-inserts every live node into a fresh table of `capacity` slots.
+  void unique_rebuild(size_t capacity);
+  /// Capacity that fits the live nodes below the growth load.
+  size_t unique_fit_capacity() const;
+  size_t ite_capacity() const;
   Ref alloc_node(int32_t var, Ref lo, Ref hi);
+  /// garbage_collect() minus rebuilding the unique table and the ITE cache
+  /// (reorder() rebuilds them once, after sifting); releases both, and the
+  /// scratch memos, first.
+  std::vector<Ref> compact_arena(const std::vector<Ref>& roots);
   double sat_fraction_rec(Ref f);
   Ref cofactor_rec(Ref f, int32_t vlevel, bool value);
   /// Bumps the scratch epoch and sizes the stamp arena to the arena.
   void begin_scratch_pass() const;
 
   // ---- sifting internals (valid only inside reorder()) ----
+
+  /// One subtable slot: the key is stored beside the ref, so probing,
+  /// resizing and erasing touch only the subtable. id == kInvalidRef = empty.
+  struct SiftSlot {
+    Ref id;
+    Ref lo;
+    Ref hi;
+  };
+  /// A variable's unique subtable while a sift runs: open-addressed over
+  /// (lo, hi) with linear probing; power-of-two capacity, grown past load
+  /// 1/2 and halved when an erase leaves it under 1/8.
+  struct SiftTable {
+    std::vector<SiftSlot> slots;
+    size_t used = 0;
+  };
+  static constexpr size_t kMinSiftSlots = 8;
+  static size_t sift_home(Ref lo, Ref hi, size_t mask) {
+    return mix64((static_cast<uint64_t>(lo) << 32) | hi) & mask;
+  }
+  /// Slot holding (lo, hi), or the empty slot ending its probe run.
+  static size_t sift_find(const SiftTable& t, Ref lo, Ref hi);
+  static void sift_resize(SiftTable& t, size_t capacity);
+  /// Stores `entry` at `slot` (the empty slot sift_find returned for its
+  /// key), growing the table past load 1/2.
+  static void sift_put(SiftTable& t, size_t slot, SiftSlot entry);
+  static void sift_erase(SiftTable& t, Ref lo, Ref hi);
+
   void sift(const std::vector<Ref>& roots);
   void sift_var(int var);
   void swap_levels(int level);
+  /// Frees node `n`, whose reference count reached zero.
+  void free_dead(Ref n);
   void build_interaction_matrix(const std::vector<Ref>& roots);
   bool interacts(int32_t u, int32_t v) const {
     return (interact_[static_cast<size_t>(u) * interact_words_ +
@@ -285,8 +340,9 @@ class BddManager {
             (static_cast<size_t>(v) % 64)) &
            1u;
   }
-  Ref swap_find_or_make(int32_t var, Ref lo, Ref hi);
-  void deref(Ref r);
+  /// make_node twin for swaps: looks up / inserts into `var`'s subtable and
+  /// maintains parent_count_ (the result counts the caller's reference).
+  Ref sift_find_or_make(int32_t var, Ref lo, Ref hi);
   size_t live_internal() const { return var_.size() - 2 - free_list_.size(); }
 
   int num_vars_;
@@ -303,7 +359,8 @@ class BddManager {
   std::vector<int> level2var_;
 
   // Open-addressed unique table: slots hold Refs into the arena (kInvalidRef
-  // = empty). Capacity is a power of two; grown at ~70% load.
+  // = empty). Capacity is a power of two; grown at ~70% load. Empty (its
+  // space released) while a sift runs, which uses sift_tables_ instead.
   std::vector<Ref> unique_slots_;
   size_t unique_count_ = 0;
 
@@ -318,15 +375,15 @@ class BddManager {
   mutable std::vector<Ref> ref_memo_;
   mutable uint32_t stamp_epoch_ = 0;
 
-  // Reordering state. free_list_ holds arena slots vacated by sifting
-  // (alloc_node reuses them before growing the arena); parent_count_ and
-  // var_nodes_ are per-reorder scratch (in-arena reference counts seeded
-  // with root pins, and per-variable node lists, both maintained across
-  // swaps).
   /// Validates and installs a level_to_var permutation into var2level_/
   /// level2var_ (shared by the constructor and seed_order).
   void install_order(const std::vector<int>& level_to_var);
 
+  // Reordering state. free_list_ holds arena slots vacated by sifting
+  // (alloc_node reuses them before growing the arena). parent_count_ (in-
+  // arena reference counts seeded with root pins), var_nodes_, sift_tables_
+  // and sift_scratch_ (the upper variable's previous node list during a
+  // swap) are per-reorder scratch, released when the sift ends.
   bool auto_reorder_ = true;
   bool reorder_pending_ = false;
   bool in_reorder_ = false;
@@ -335,7 +392,13 @@ class BddManager {
   std::vector<Ref> free_list_;
   std::vector<std::vector<Ref>*> external_slots_;
   std::vector<uint32_t> parent_count_;
+  // var_nodes_[v] lists the nodes labelled v in the order swaps visit them.
+  // A list may hold stale entries — slots since freed, reused or moved —
+  // which swaps skip and drop when they rebuild the list. sift_tables_[v]
+  // indexes exactly the live nodes labelled v.
   std::vector<std::vector<Ref>> var_nodes_;
+  std::vector<SiftTable> sift_tables_;
+  std::vector<Ref> sift_scratch_;
   // Per-reorder variable interaction matrix (row-major bitset): u and v
   // interact iff they co-occur in some root's support. Support is a
   // property of the functions, not the order, so the matrix stays valid

@@ -9,12 +9,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "bdd/bdd.hpp"
 #include "bdd/network_bdd.hpp"
 #include "benchmarks/benchmarks.hpp"
+#include "core/verify.hpp"
+#include "network/blif.hpp"
 #include "network/ordering.hpp"
 #include "tt/truth_table.hpp"
 
@@ -582,6 +586,271 @@ TEST(BddOrdering, StaticOrderIsPermutation) {
       EXPECT_FALSE(seen[v]) << name;
       seen[v] = 1;
     }
+  }
+}
+
+// ---- pinned cold orders ----
+//
+// Sifting decisions depend on live-node counts and on the occupancy ranking
+// of the per-variable node lists, so a faster swap kernel must walk the
+// exact same trajectory. The pins below were captured from the hash-table
+// swap kernel and hold the order hash and live count after every
+// reorder() of a cold build.
+
+// FNV-1a over the level_to_var permutation.
+uint64_t order_hash(const std::vector<int>& order) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (int v : order) {
+    h ^= static_cast<uint32_t>(v);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct OrderPoint {
+  uint64_t order_hash;
+  size_t live_nodes;
+  bool operator==(const OrderPoint& o) const {
+    return order_hash == o.order_hash && live_nodes == o.live_nodes;
+  }
+};
+
+void PrintTo(const OrderPoint& p, std::ostream* os) {
+  *os << "{0x" << std::hex << p.order_hash << std::dec << ", " << p.live_nodes
+      << "}";
+}
+
+OrderPoint snapshot(const BddManager& mgr) {
+  return {order_hash(mgr.export_order()), mgr.live_nodes()};
+}
+
+Network load_cedbench_input(const std::string& name) {
+  return read_blif_file(std::string(APX_REPO_ROOT) + "/cedbench/inputs/" +
+                        name + ".blif");
+}
+
+// Builds the BDD of every node of `order` (topological) the way NetworkBdds
+// and build_cone_bdds do, polling the reorder latch after each node, and
+// records the order and live count after every reorder(). Unregistered
+// `refs` ride the reorder as extra roots and are remapped by hand.
+void sweep_recording(BddManager& mgr, const Network& net,
+                     const std::vector<NodeId>& order, bool registered,
+                     std::vector<BddManager::Ref>& refs,
+                     std::vector<OrderPoint>& points) {
+  std::vector<BddManager::Ref> fanin_refs;
+  for (NodeId id : order) {
+    const Node& n = net.node(id);
+    if (n.kind == NodeKind::kConst0) refs[id] = mgr.zero();
+    if (n.kind == NodeKind::kConst1) refs[id] = mgr.one();
+    if (n.kind == NodeKind::kLogic) {
+      fanin_refs.clear();
+      for (NodeId f : n.fanins) fanin_refs.push_back(refs[f]);
+      refs[id] = eval_sop_bdd(mgr, n.sop, fanin_refs);
+    }
+    if (!mgr.reorder_pending()) continue;
+    if (registered) {
+      mgr.reorder();
+    } else {
+      std::vector<BddManager::Ref> remap = mgr.reorder(refs);
+      for (BddManager::Ref& r : refs) {
+        if (r != kNoBddRef) r = remap[r];
+      }
+    }
+    points.push_back(snapshot(mgr));
+  }
+}
+
+std::vector<BddManager::Ref> pi_refs(BddManager& mgr, const Network& net) {
+  std::vector<BddManager::Ref> refs(net.num_nodes(), kNoBddRef);
+  for (int i = 0; i < net.num_pis(); ++i) refs[net.pis()[i]] = mgr.var(i);
+  return refs;
+}
+
+// NetworkBdds' cold build (static order, every node in topological order,
+// refs registered). The last point is the state after the build.
+std::vector<OrderPoint> replay_network_bdds(const Network& net) {
+  BddManager mgr(net.num_pis(), 8u << 20, static_pi_order(net));
+  std::vector<BddManager::Ref> refs = pi_refs(mgr, net);
+  mgr.register_external_refs(&refs);
+  std::vector<OrderPoint> points;
+  sweep_recording(mgr, net, net.topology()->topo(), true, refs, points);
+  points.push_back(snapshot(mgr));
+  mgr.unregister_external_refs(&refs);
+  return points;
+}
+
+// ApproxOracle's cold build: the PO cones of the original, then of the
+// approximation, into one manager seeded with the original's static order.
+std::vector<OrderPoint> replay_oracle_build(const Network& original,
+                                            const Network& approx) {
+  BddManager mgr(original.num_pis(), 1u << 18, static_pi_order(original));
+  std::vector<OrderPoint> points;
+  auto cone_refs = [&](const Network& net) {
+    std::vector<NodeId> roots;
+    for (const PrimaryOutput& po : net.pos()) roots.push_back(po.driver);
+    ConeScratch scratch;
+    std::vector<NodeId> cone;
+    net.topology()->cone_of(roots, scratch, cone);
+    std::vector<BddManager::Ref> refs = pi_refs(mgr, net);
+    sweep_recording(mgr, net, cone, false, refs, points);
+    return refs;
+  };
+  std::vector<BddManager::Ref> orig_refs = cone_refs(original);
+  mgr.register_external_refs(&orig_refs);
+  std::vector<BddManager::Ref> approx_refs = cone_refs(approx);
+  mgr.register_external_refs(&approx_refs);
+  points.push_back(snapshot(mgr));
+  mgr.unregister_external_refs(&approx_refs);
+  mgr.unregister_external_refs(&orig_refs);
+  return points;
+}
+
+// The oracle's approximation: drop the last cube of a few multi-cube
+// nodes, so the second cone sweep builds new nodes on top of the first.
+Network weakened(const Network& net) {
+  Network weak = net;
+  int count = 0;
+  for (NodeId id = 0; id < weak.num_nodes() && count < 4; id += 3) {
+    const Node& n = weak.node(id);
+    if (n.kind != NodeKind::kLogic || n.sop.num_cubes() < 2) continue;
+    std::vector<Cube> cubes(n.sop.cubes().begin(), n.sop.cubes().end() - 1);
+    weak.set_sop(id, Sop(n.sop.num_vars(), std::move(cubes)));
+    ++count;
+  }
+  return weak;
+}
+
+struct PinnedCase {
+  const char* circuit;
+  std::vector<OrderPoint> network_bdds;  // every reorder, then the end state
+  std::vector<OrderPoint> oracle;
+};
+
+TEST(BddPinnedOrder, ColdBuildsReproducePinnedOrders) {
+  const std::vector<PinnedCase> cases = {
+      {"x1",
+       {{0xdf8a2ee0971b135cull, 2253},
+        {0x2416d2c1b4aff990ull, 6769},
+        {0x412a458f24fc8ebcull, 18005},
+        {0x412a458f24fc8ebcull, 23227}},
+       {{0xdf8a2ee0971b135cull, 2253},
+        {0x2416d2c1b4aff990ull, 6769},
+        {0x412a458f24fc8ebcull, 18005},
+        {0x412a458f24fc8ebcull, 42719}}},
+      {"i2",
+       {{0xd92347f062b6e0bfull, 3032},
+        {0xfa23b8a12dc3a6fbull, 6534},
+        {0xfa23b8a12dc3a6fbull, 14893}},
+       {{0xd92347f062b6e0bfull, 3032},
+        {0xfa23b8a12dc3a6fbull, 6534},
+        {0x86cea65f3a807955ull, 20945},
+        {0x86cea65f3a807955ull, 20945}}},
+  };
+  for (const PinnedCase& c : cases) {
+    SCOPED_TRACE(c.circuit);
+    const Network net = load_cedbench_input(c.circuit);
+    const std::vector<OrderPoint> bdd_points = replay_network_bdds(net);
+    EXPECT_EQ(bdd_points, c.network_bdds);
+    {
+      // The real NetworkBdds takes the same trajectory as the replay.
+      OrderCache::instance().clear();
+      NetworkBdds bdds(net);
+      EXPECT_EQ(bdds.manager().stats().reorder_runs, bdd_points.size() - 1);
+      EXPECT_EQ(snapshot(bdds.manager()), bdd_points.back());
+    }
+
+    const Network approx = weakened(net);
+    const std::vector<OrderPoint> oracle_points =
+        replay_oracle_build(net, approx);
+    EXPECT_EQ(oracle_points, c.oracle);
+    {
+      OrderCache::instance().clear();
+      ApproxOracle oracle(net, approx);
+      ASSERT_TRUE(oracle.using_bdds());
+      EXPECT_EQ(oracle.manager().stats().reorder_runs,
+                oracle_points.size() - 1);
+      EXPECT_EQ(snapshot(oracle.manager()), oracle_points.back());
+    }
+  }
+  OrderCache::instance().clear();
+}
+
+// Reference value of every node of `net` under one PI assignment.
+std::vector<uint8_t> simulate(const Network& net,
+                              const std::vector<uint8_t>& pi_values) {
+  std::vector<uint8_t> value(net.num_nodes(), 0);
+  for (NodeId id : net.topo_order()) {
+    const Node& node = net.node(id);
+    if (node.kind == NodeKind::kConst1) value[id] = 1;
+    if (node.kind == NodeKind::kPi) value[id] = pi_values[net.pi_index(id)];
+    if (node.kind != NodeKind::kLogic) continue;
+    for (const Cube& c : node.sop.cubes()) {
+      bool sat = true;
+      for (int v = 0; v < c.num_vars() && sat; ++v) {
+        LitCode code = c.get(v);
+        if (code == LitCode::kFree) continue;
+        sat = value[node.fanins[v]] == (code == LitCode::kPos ? 1 : 0);
+      }
+      if (sat) {
+        value[id] = 1;
+        break;
+      }
+    }
+  }
+  return value;
+}
+
+// evaluate() takes a 64-bit assignment; wider managers are walked by
+// cofactoring level by level (a top-level cofactor is a child step).
+bool evaluate_wide(BddManager& mgr, BddManager::Ref f,
+                   const std::vector<uint8_t>& pi_values) {
+  for (int l = 0; l < mgr.num_vars() && f > 1; ++l) {
+    const int v = mgr.var_at_level(l);
+    f = mgr.cofactor(f, v, pi_values[v] != 0);
+  }
+  return f == mgr.one();
+}
+
+// Sifting on managers wider than one interaction-matrix word (> 64
+// variables): random networks whose gates mix PIs from every word, forced
+// reorders both mid-build (extra-root path) and on the finished,
+// registered ref set. Every node's function must survive every reorder.
+TEST(BddSifting, WideManagersKeepRegisteredFunctions) {
+  std::mt19937 rng(0xB0D);
+  for (int trial = 0; trial < 4; ++trial) {
+    const int pis = 65 + static_cast<int>(rng() % 60);  // 65..124
+    Network net = random_network(rng, pis, 160);
+    std::vector<std::vector<uint8_t>> patterns(24);
+    std::vector<std::vector<uint8_t>> expected;
+    for (std::vector<uint8_t>& p : patterns) {
+      p.resize(pis);
+      for (uint8_t& bit : p) bit = rng() & 1;
+      expected.push_back(simulate(net, p));
+    }
+
+    BddManager mgr(pis, 1u << 20, random_order(pis, 1000 + trial));
+    mgr.set_reorder_threshold(64);
+    std::vector<NodeId> roots;
+    for (NodeId id = 0; id < net.num_nodes(); ++id) {
+      if (net.node(id).kind == NodeKind::kLogic) roots.push_back(id);
+    }
+    std::vector<BddManager::Ref> refs = build_cone_bdds(mgr, net, roots);
+    mgr.register_external_refs(&refs);
+    const uint64_t mid_build = mgr.stats().reorder_runs;
+    for (int round = 0; round <= 2; ++round) {
+      if (round > 0) mgr.reorder();
+      for (size_t p = 0; p < patterns.size(); ++p) {
+        for (NodeId id = 0; id < net.num_nodes(); ++id) {
+          if (refs[id] == kNoBddRef) continue;
+          ASSERT_EQ(evaluate_wide(mgr, refs[id], patterns[p]),
+                    expected[p][id] != 0)
+              << "trial " << trial << " round " << round << " node " << id;
+        }
+      }
+    }
+    EXPECT_GE(mid_build, 1u) << "trial " << trial;
+    EXPECT_EQ(mgr.stats().reorder_runs, mid_build + 2);
+    mgr.unregister_external_refs(&refs);
   }
 }
 

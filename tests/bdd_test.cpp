@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+
+#include "core/trace.hpp"
 
 namespace apx {
 namespace {
@@ -200,6 +203,50 @@ TEST(BddTest, UniqueTableProbeLengthStaysShort) {
   const BddManager::Stats& s = mgr.stats();
   ASSERT_GT(s.unique_lookups, 0u);
   EXPECT_LT(s.avg_probe_length(), 4.0);
+}
+
+int64_t trace_counter_value(const std::string& name) {
+  for (const trace::CounterStat& c : trace::counter_summary()) {
+    if (c.name == name) return c.value;
+  }
+  return -1;
+}
+
+// The peak gauge reaches the trace even from a manager that never collects
+// or sifts (published on destruction), and the sift work counters mirror
+// Stats.
+TEST(BddTest, TraceMirrorsPeakAndSiftStats) {
+  trace::reset();
+  trace::set_trace_enabled(true);
+  uint64_t quiet_peak = 0;
+  {
+    BddManager mgr(8);
+    mgr.bdd_xor(mgr.bdd_and(mgr.var(0), mgr.var(5)), mgr.var(3));
+    quiet_peak = mgr.stats().peak_nodes;
+    EXPECT_LE(trace_counter_value("bdd.peak_nodes"), 0);  // not yet published
+  }
+  EXPECT_EQ(trace_counter_value("bdd.peak_nodes"),
+            static_cast<int64_t>(quiet_peak));
+
+  // x0 x4 + x1 x5 + x2 x6 + x3 x7 under the identity order: the separated
+  // pairs make sifting rewrite nodes.
+  BddManager mgr(8);
+  mgr.set_auto_reorder(false);
+  std::vector<BddManager::Ref> roots = {mgr.zero()};
+  for (int i = 0; i < 4; ++i) {
+    roots[0] = mgr.bdd_or(roots[0], mgr.bdd_and(mgr.var(i), mgr.var(i + 4)));
+  }
+  mgr.register_external_refs(&roots);
+  mgr.reorder();
+  EXPECT_GT(mgr.stats().sift_swaps, 0u);
+  EXPECT_GT(mgr.stats().sift_node_rewrites, 0u);
+  EXPECT_EQ(trace_counter_value("bdd.sift_swaps"),
+            static_cast<int64_t>(mgr.stats().sift_swaps));
+  EXPECT_EQ(trace_counter_value("bdd.sift_node_rewrites"),
+            static_cast<int64_t>(mgr.stats().sift_node_rewrites));
+  mgr.unregister_external_refs(&roots);
+  trace::set_trace_enabled(false);
+  trace::reset();
 }
 
 }  // namespace

@@ -106,6 +106,7 @@ TEST(BenchJsonTest, PipelineArtifactSchema) {
       "\"speedup\"",         "\"speedup_gate\"",
       "\"gate_enforced\"",   "\"rows_bit_identical\"",
       "\"profiled_identical\"", "\"phases\"",
+      "\"cold_reorder_ms\"", "\"cold_reorder_share\"",
       "\"counters\"",        "\"rows\"",
       // Host metadata: a `gate_enforced: false` artifact from a small
       // runner must say so in a machine-checkable way.
@@ -189,6 +190,7 @@ TEST(BenchJsonTest, BddArtifactSchema) {
       "\"static_sift\"",   "\"peak_nodes\"",
       "\"build_seconds\"", "\"fallbacks\"",
       "\"reorder_runs\"",  "\"reorder_time_ms\"",
+      "\"sift_swaps\"",    "\"sift_node_rewrites\"",
       "\"avg_probe_length\"", "\"peak_reduction_vs_natural\"",
       "\"results_bit_identical\"",
   };
