@@ -1,9 +1,16 @@
 // Scalability study (paper Sec. 4 prose: the synthesis "scales with circuit
 // size"; i10 — the largest benchmark — synthesized in 5m28s on 2007-era
-// hardware). Uses google-benchmark to time the synthesis stages across the
-// benchmark size ladder.
-#include <benchmark/benchmark.h>
+// hardware). Times the synthesis stages across the benchmark size ladder:
+// each row is the median of kRuns runs with the min and max beside it.
+// APXCED_SCALE scales the fault-sample budgets; APXCED_THREADS caps the
+// parallel suite row (default: all hardware threads).
+#include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "bench_util.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "core/approx_synthesis.hpp"
 #include "core/pipeline.hpp"
@@ -14,83 +21,97 @@
 namespace {
 
 using namespace apx;
+using apx::bench::Stopwatch;
 
 const char* kLadder[] = {"cmb", "cordic", "term1", "x1", "i2", "frg2"};
+constexpr int kRuns = 5;
 
-void BM_ApproxSynthesis(benchmark::State& state) {
-  Network net = make_benchmark(kLadder[state.range(0)]);
-  Network optimized = quick_synthesis(net);
-  Network mapped = technology_map(optimized);
-  ReliabilityOptions rel_opt;
-  rel_opt.num_fault_samples = 300;
-  std::vector<ApproxDirection> dirs =
-      choose_directions(analyze_reliability(mapped, rel_opt));
-  ApproxOptions opt;
-  opt.significance_threshold = 0.12;
-  for (auto _ : state) {
-    ApproxResult r = synthesize_approximation(optimized, dirs, opt);
-    benchmark::DoNotOptimize(r.approx.num_nodes());
-  }
-  state.counters["gates"] = mapped.num_logic_nodes();
-}
-BENCHMARK(BM_ApproxSynthesis)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
+struct Timing {
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+  double max_ms = 0.0;
+};
 
-void BM_ReliabilityAnalysis(benchmark::State& state) {
-  Network mapped =
-      technology_map(quick_synthesis(make_benchmark(kLadder[state.range(0)])));
-  ReliabilityOptions opt;
-  opt.num_fault_samples = 300;
-  for (auto _ : state) {
-    ReliabilityReport r = analyze_reliability(mapped, opt);
-    benchmark::DoNotOptimize(r.any_output_error_rate);
+Timing time_runs(const std::function<void()>& work) {
+  std::vector<double> ms;
+  for (int i = 0; i < kRuns; ++i) {
+    Stopwatch watch;
+    work();
+    ms.push_back(1000.0 * watch.seconds());
   }
-  state.counters["gates"] = mapped.num_logic_nodes();
+  std::sort(ms.begin(), ms.end());
+  return {ms[kRuns / 2], ms.front(), ms.back()};
 }
-BENCHMARK(BM_ReliabilityAnalysis)
-    ->DenseRange(0, 5)
-    ->Unit(benchmark::kMillisecond);
 
-// Whole-suite scaling on the shared task pool: every circuit of the ladder
-// runs as one run_ced_pipeline task, and the per-row tasks plus their inner
-// fault campaigns share the pool's workers (Arg = worker cap; 1 = serial
-// reference). Per-row results are bit-identical across Args by the pool's
-// determinism contract.
-void BM_PipelineSuite(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  std::vector<Network> nets;
-  for (const char* name : kLadder) nets.push_back(make_benchmark(name));
-  PipelineOptions opt;
-  opt.approx.significance_threshold = 0.12;
-  opt.reliability.num_fault_samples = 300;
-  opt.coverage.num_fault_samples = 300;
-  // Cap the inner loops too, so Arg(1) is a genuinely serial reference.
-  opt.approx.num_threads = threads;
-  opt.reliability.num_threads = threads;
-  opt.coverage.num_threads = threads;
-  for (auto _ : state) {
-    int64_t gates = 0;
-    std::vector<PipelineResult> rows(nets.size());
-    TaskPool::instance().parallel_for(
-        0, static_cast<int64_t>(nets.size()),
-        [&](int64_t i) { rows[i] = run_ced_pipeline(nets[i], opt); },
-        threads);
-    for (const PipelineResult& r : rows) {
-      gates += r.mapped_original.num_logic_nodes();
-    }
-    benchmark::DoNotOptimize(gates);
-  }
+void print_row(const char* stage, const std::string& row, int64_t gates,
+               const Timing& t) {
+  std::printf("%-22s %-11s %7lld %11.2f %9.2f %9.2f\n", stage, row.c_str(),
+              static_cast<long long>(gates), t.median_ms, t.min_ms, t.max_ms);
 }
-BENCHMARK(BM_PipelineSuite)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
-
-void BM_TechnologyMap(benchmark::State& state) {
-  Network optimized = quick_synthesis(make_benchmark(kLadder[state.range(0)]));
-  for (auto _ : state) {
-    Network mapped = technology_map(optimized);
-    benchmark::DoNotOptimize(mapped.num_nodes());
-  }
-}
-BENCHMARK(BM_TechnologyMap)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  const int samples = bench::scaled(300);
+  std::printf("Scalability across the benchmark ladder (median of %d runs; "
+              "%d fault samples)\n\n",
+              kRuns, samples);
+  std::printf("%-22s %-11s %7s %11s %9s %9s\n", "stage", "circuit", "gates",
+              "median_ms", "min_ms", "max_ms");
+
+  std::vector<Network> nets;
+  for (const char* name : kLadder) nets.push_back(make_benchmark(name));
+
+  for (size_t i = 0; i < nets.size(); ++i) {
+    const Network optimized = quick_synthesis(nets[i]);
+    const Network mapped = technology_map(optimized);
+    const int64_t gates = mapped.num_logic_nodes();
+    ReliabilityOptions rel_opt;
+    rel_opt.num_fault_samples = samples;
+    const std::vector<ApproxDirection> dirs =
+        choose_directions(analyze_reliability(mapped, rel_opt));
+    ApproxOptions opt;
+    opt.significance_threshold = 0.12;
+
+    print_row("approx_synthesis", kLadder[i], gates, time_runs([&] {
+                synthesize_approximation(optimized, dirs, opt);
+              }));
+    print_row("reliability_analysis", kLadder[i], gates,
+              time_runs([&] { analyze_reliability(mapped, rel_opt); }));
+    print_row("technology_map", kLadder[i], gates,
+              time_runs([&] { technology_map(optimized); }));
+  }
+
+  // Whole-suite scaling on the shared task pool: every circuit of the
+  // ladder runs as one run_ced_pipeline task, and the per-row tasks plus
+  // their inner fault campaigns share the pool's workers (cap 1 = serial
+  // reference). Per-row results are bit-identical across caps by the
+  // pool's determinism contract.
+  for (int threads : {1, bench::bench_threads()}) {
+    PipelineOptions opt;
+    opt.approx.significance_threshold = 0.12;
+    opt.reliability.num_fault_samples = samples;
+    opt.coverage.num_fault_samples = samples;
+    // Cap the inner loops too, so cap 1 is a genuinely serial reference.
+    opt.approx.num_threads = threads;
+    opt.reliability.num_threads = threads;
+    opt.coverage.num_threads = threads;
+    int64_t gates = 0;
+    const Timing t = time_runs([&] {
+      std::vector<PipelineResult> rows(nets.size());
+      TaskPool::instance().parallel_for(
+          0, static_cast<int64_t>(nets.size()),
+          [&](int64_t i) { rows[i] = run_ced_pipeline(nets[i], opt); },
+          threads);
+      gates = 0;
+      for (const PipelineResult& r : rows) {
+        gates += r.mapped_original.num_logic_nodes();
+      }
+    });
+    print_row("pipeline_suite",
+              threads == 0 ? "threads=all"
+                           : "threads=" + std::to_string(threads),
+              gates, t);
+  }
+  return 0;
+}

@@ -68,7 +68,7 @@ int main() {
                                     ApproxDirection::kOneApprox);
   double pct = approximation_percentage(net, result.approx, 0,
                                         ApproxDirection::kOneApprox);
-  int orig_gates = technology_map(optimize(net)).num_logic_nodes();
+  int orig_gates = technology_map(quick_synthesis(net)).num_logic_nodes();
   int approx_gates = technology_map(result.approx).num_logic_nodes();
   std::printf("G => F verified:          %s\n", ok ? "yes" : "NO");
   std::printf("approximation percentage: %.2f%%  (paper: 85.72%% for G=a+b)\n",

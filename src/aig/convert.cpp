@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "aig/rewrite.hpp"
 #include "core/trace.hpp"
 #include "network/ordering.hpp"
 #include "network/topology_view.hpp"
@@ -155,17 +156,15 @@ Network aig_to_network(const Aig& aig) {
   return net;
 }
 
-Network aig_quick_synthesis(const Network& net, const RewriteOptions& options,
-                            RewriteStats* stats) {
+Network aig_quick_synthesis(const Network& net) {
   trace::Span span("aig.quick_synthesis");
   trace::counter("aig.quick_synthesis_calls").add(1);
 
   const Aig aig = network_to_aig(net);
-  RewriteStats local;
-  RewriteStats* s = stats ? stats : &local;
-  const Aig rewritten = rewrite(aig, options, s);
+  RewriteStats stats;
+  const Aig rewritten = rewrite(aig, &stats);
   trace::counter("aig.rewrite_ands_saved")
-      .add(s->ands_before - s->ands_after);
+      .add(stats.ands_before - stats.ands_after);
 
   Network result = aig_to_network(rewritten);
   result.set_name(net.name());

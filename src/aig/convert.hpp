@@ -13,7 +13,6 @@
 #pragma once
 
 #include "aig/aig.hpp"
-#include "aig/rewrite.hpp"
 #include "network/network.hpp"
 
 namespace apx::aig {
@@ -26,8 +25,6 @@ Network aig_to_network(const Aig& aig);
 
 /// Quick synthesis through the AIG substrate: convert, DAG-aware cut
 /// rewriting, convert back, cleanup. PIs/POs preserved.
-Network aig_quick_synthesis(const Network& net,
-                            const RewriteOptions& options = {},
-                            RewriteStats* stats = nullptr);
+Network aig_quick_synthesis(const Network& net);
 
 }  // namespace apx::aig

@@ -79,13 +79,12 @@ Cut trivial_cut(uint32_t node) {
 
 }  // namespace
 
-CutSet enumerate_cuts(const Aig& aig, const CutOptions& options) {
+CutSet enumerate_cuts(const Aig& aig) {
   CutSet result;
   result.cuts.resize(aig.num_nodes());
 
   std::vector<Cut> scratch;
-  scratch.reserve(static_cast<size_t>(options.max_cuts) * options.max_cuts +
-                  1);
+  scratch.reserve(static_cast<size_t>(kMaxCuts) * kMaxCuts + 1);
 
   for (uint32_t id = 1; id < static_cast<uint32_t>(aig.num_nodes()); ++id) {
     if (aig.is_pi(id)) {
@@ -131,7 +130,7 @@ CutSet enumerate_cuts(const Aig& aig, const CutOptions& options) {
     for (const Cut& c : scratch) {
       if (!out.empty() && same_leaves(out.back(), c)) continue;
       out.push_back(c);
-      if (static_cast<int>(out.size()) == options.max_cuts - 1) break;
+      if (static_cast<int>(out.size()) == kMaxCuts - 1) break;
     }
     out.push_back(trivial_cut(id));
     ++result.total_enumerated;

@@ -58,10 +58,8 @@ class RewriteDb {
   std::vector<int32_t> index_;  ///< canon -> entries_ index, -1 if not canon
 };
 
-struct RewriteOptions {
-  int max_passes = 4;  ///< rewriting repeats until no gain, capped here
-  CutOptions cuts;
-};
+/// Rewriting repeats until a pass brings no gain, capped at this many.
+inline constexpr int kMaxRewritePasses = 4;
 
 struct RewriteStats {
   int passes = 0;
@@ -73,7 +71,6 @@ struct RewriteStats {
 /// Rewrites `src` into a (reachable-)AND-minimized equivalent AIG. PI/PO
 /// count, names, and order are preserved. Never returns a worse graph:
 /// each pass is guarded and the source is kept when a pass does not help.
-Aig rewrite(const Aig& src, const RewriteOptions& options = {},
-            RewriteStats* stats = nullptr);
+Aig rewrite(const Aig& src, RewriteStats* stats = nullptr);
 
 }  // namespace apx::aig

@@ -25,7 +25,7 @@ NodeId xor_tree(Network& net, std::vector<NodeId> sigs) {
 Network build_parity_predictor(const Network& mapped,
                                const ParityOptions& options) {
   // Predictor = copy of the circuit + XOR tree over its outputs, collapsed
-  // to a single PO, then optionally re-optimized and re-mapped.
+  // to a single PO, then re-optimized and re-mapped.
   Network pred;
   pred.set_name(mapped.name() + "_parity_pred");
   std::vector<NodeId> pi_map;
@@ -39,8 +39,7 @@ Network build_parity_predictor(const Network& mapped,
   }
   pred.add_po("parity", xor_tree(pred, std::move(outs)));
   pred.cleanup();
-  if (options.optimize_predictor) pred = quick_synthesis(pred);
-  return technology_map(pred, options.map_options);
+  return technology_map(quick_synthesis(pred), options.map_options);
 }
 
 CedDesign build_parity_ced(const Network& mapped,

@@ -16,8 +16,6 @@ struct ParityOptions {
   /// Library/script used to map the predictor (XOR trees decompose into
   /// the library's gates).
   MapOptions map_options;
-  /// Run quick synthesis on the predictor cone before mapping.
-  bool optimize_predictor = true;
 };
 
 /// Builds the parity-prediction CED design around a mapped circuit.

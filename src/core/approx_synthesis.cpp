@@ -16,6 +16,10 @@
 namespace apx {
 namespace {
 
+// Cap on stage-2 repair rounds per PO before the guaranteed exact-selection
+// fallback.
+constexpr int kMaxRepairRounds = 12;
+
 // The node's SOP written in the phase matching its type: off-set (zero
 // phase) for type-0 nodes, on-set otherwise (paper Sec. 2.1.2).
 Sop phase_sop_of(const Sop& onset, NodeType t) {
@@ -256,7 +260,9 @@ class SynthesisEngine {
       const Node& n = net_.node(id);
       if (n.kind != NodeKind::kLogic) continue;
       NodeType t = type_of(id);
-      if (t == NodeType::kEx && !options_.reduce_ex_nodes) continue;
+      // EX nodes keep their SOP: the repair stage would undo their
+      // reductions anyway.
+      if (t == NodeType::kEx) continue;
       Sop phase = phase_sop_of(n.sop, t);
       std::vector<double> probs = fanin_probs(id);
 
@@ -635,7 +641,7 @@ class SynthesisEngine {
       oracle.refresh_approx();
       return oracle.verify(po, directions_[po]);
     };
-    for (int round = 0; round < options_.max_repair_rounds; ++round) {
+    for (int round = 0; round < kMaxRepairRounds; ++round) {
       if (oracle.verify(po, directions_[po])) return true;
       if (!oracle.using_bdds() && oracle.last_counterexample().empty()) {
         // The SAT query hit its conflict budget (no counterexample to guide

@@ -30,14 +30,6 @@ struct ApproxOptions {
   /// the main overhead-vs-coverage knob (0 disables stage-1 reduction).
   double significance_threshold = 0.02;
 
-  /// Also reduce type-EX nodes in stage 1 (the paper reduces every node;
-  /// EX reductions are usually undone by the repair stage, so this mostly
-  /// trades runtime for exploration).
-  bool reduce_ex_nodes = false;
-
-  /// Cap on repair rounds before the guaranteed exact-selection fallback.
-  int max_repair_rounds = 12;
-
   /// Ablation: try ODC-based cube selection before exact selection when
   /// repairing a node (paper Sec. 2.2). Off = exact-only repairs.
   bool use_odc_repair = true;
@@ -59,10 +51,6 @@ struct ApproxOptions {
   /// Conflict cap per SAT verification query (see ApproxOracle); smaller
   /// values fail faster toward the guaranteed repair fallbacks.
   int64_t sat_conflict_budget = 5000;
-
-  /// Random-simulation words for observability/signal probabilities.
-  int sim_words = 64;
-  uint64_t seed = 0x0B5E11;
 
   /// Parallelism cap (shared task pool) for the final approximation-
   /// percentage sweep; 0 = apx::thread_count() (APX_THREADS policy). The

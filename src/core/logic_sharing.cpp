@@ -11,6 +11,14 @@
 namespace apx {
 namespace {
 
+// Simulation words for candidate signatures.
+constexpr int kSignatureWords = 64;
+constexpr uint64_t kSeed = 0x5A4E;
+// SAT conflict budget per equivalence proof (kUnknown => not merged).
+constexpr int64_t kProofConflictBudget = 20000;
+// Pattern words per candidate used to estimate its error contribution.
+constexpr int kCriticalityWords = 8;
+
 uint64_t signature_of(const WordSpan& words) {
   uint64_t h = 0x9E3779B97F4A7C15ULL;
   for (uint64_t w : words) {
@@ -36,7 +44,7 @@ SharingReport apply_logic_sharing(CedDesign& ced,
 
   Network& net = ced.design;
   Simulator sim(net);
-  sim.run(PatternSet::random(net.num_pis(), options.sim_words, options.seed));
+  sim.run(PatternSet::random(net.num_pis(), kSignatureWords, kSeed));
 
   // Candidate index: signature -> functional nodes.
   std::unordered_multimap<uint64_t, NodeId> by_sig;
@@ -66,7 +74,7 @@ SharingReport apply_logic_sharing(CedDesign& ced,
       solver.add_ternary(~lt, ~lc, ~lf);
       solver.add_ternary(lt, ~lc, lf);
       solver.add_ternary(lt, lc, ~lf);
-      SatResult r = solver.solve({lt}, options.sat_conflict_budget);
+      SatResult r = solver.solve({lt}, kProofConflictBudget);
       if (r == SatResult::kUnsat) {
         provable.push_back({c, f});
         break;
@@ -92,12 +100,12 @@ SharingReport apply_logic_sharing(CedDesign& ced,
         faults.push_back(FaultSpec::stuck_at({f, stuck}));
       }
     }
-    const int W = options.criticality_words;
+    const int W = kCriticalityWords;
     std::vector<int64_t> errors(faults.size(), 0);
     std::vector<std::vector<uint64_t>> err_scratch(resolve_thread_option(0));
     FaultSimEngine engine(net);
     engine.run_batch(
-        PatternSet::random(net.num_pis(), W, options.seed ^ 0xC417), faults,
+        PatternSet::random(net.num_pis(), W, kSeed ^ 0xC417), faults,
         [&](int i, const FaultSpec&, const FaultView& v) {
           std::vector<uint64_t>& err = err_scratch[v.worker_slot()];
           err.assign(static_cast<size_t>(W), 0);

@@ -10,19 +10,12 @@
 namespace apx {
 
 struct SharingOptions {
-  /// Simulation words for candidate signatures.
-  int sim_words = 64;
-  uint64_t seed = 0x5A4E;
-  /// SAT conflict budget per equivalence proof (kUnknown => not merged).
-  int64_t sat_conflict_budget = 20000;
   /// Criticality budget (paper Sec. 3.1: only *non-critical* nodes are
   /// shared). A merged node's faults become undetectable, so candidates
   /// are ranked by their error contribution and merged cheapest-first
   /// until the merged nodes account for at most this fraction of the
   /// functional circuit's total error mass. 1.0 merges everything.
   double max_error_mass = 0.10;
-  /// Fault samples per candidate used to estimate error contribution.
-  int criticality_words = 8;
 };
 
 struct SharingReport {

@@ -4,7 +4,6 @@
 
 #include "aig/convert.hpp"
 #include "network/topology_view.hpp"
-#include "sop/algebraic.hpp"
 #include "sop/minimize.hpp"
 
 namespace apx {
@@ -65,9 +64,8 @@ struct StrashHash {
   }
 };
 
-}  // namespace
-
-Network optimize(const Network& net, const OptimizeOptions& options) {
+// The SOP-level quick-synthesis pass (below kAigQuickSynthesisThreshold).
+Network sop_quick_synthesis(const Network& net) {
   Network result;
   result.set_name(net.name());
   // Resolution of each original node into the result network. A node maps
@@ -101,17 +99,15 @@ Network optimize(const Network& net, const OptimizeOptions& options) {
     for (NodeId f : n.fanins) fanins.push_back(map[f]);
     Sop sop = n.sop;
 
-    if (options.sweep_constants) {
-      // Substitute constant fanins.
-      for (int v = 0; v < sop.num_vars(); ++v) {
-        if (kind_of(fanins[v]) == NodeKind::kConst0) {
-          sop = sop.cofactor(v, false);
-        } else if (kind_of(fanins[v]) == NodeKind::kConst1) {
-          sop = sop.cofactor(v, true);
-        }
+    // Substitute constant fanins.
+    for (int v = 0; v < sop.num_vars(); ++v) {
+      if (kind_of(fanins[v]) == NodeKind::kConst0) {
+        sop = sop.cofactor(v, false);
+      } else if (kind_of(fanins[v]) == NodeKind::kConst1) {
+        sop = sop.cofactor(v, true);
       }
-      sop.make_scc_free();
     }
+    sop.make_scc_free();
 
     // Fuse duplicate fanins: if positions i and j reference the same node,
     // each cube's constraints on them intersect into position i.
@@ -146,7 +142,7 @@ Network optimize(const Network& net, const OptimizeOptions& options) {
       }
     }
 
-    if (options.minimize_sops && sop.num_vars() <= 12 && !sop.empty()) {
+    if (sop.num_vars() <= 12 && !sop.empty()) {
       sop = minimize(sop);
     }
 
@@ -161,11 +157,11 @@ Network optimize(const Network& net, const OptimizeOptions& options) {
     }
     compact_node(fanins, sop);
 
-    if (options.collapse_buffers && is_buffer_sop(sop)) {
+    if (is_buffer_sop(sop)) {
       map[id] = fanins[0];
       continue;
     }
-    if (options.collapse_buffers && is_inverter_sop(sop)) {
+    if (is_inverter_sop(sop)) {
       // INV(INV(x)) -> x.
       const Node& g = result.node(fanins[0]);
       if (g.kind == NodeKind::kLogic && is_inverter_sop(g.sop)) {
@@ -190,126 +186,19 @@ Network optimize(const Network& net, const OptimizeOptions& options) {
     result.add_po(po.name, map[po.driver]);
   }
   result.cleanup();
-  if (options.resubstitute) {
-    resubstitute(result);
-    result.cleanup();
-  }
   result.check();
   return result;
 }
 
-Network quick_synthesis(const Network& net) {
-  return quick_synthesis(net, kAigQuickSynthesisThreshold);
-}
+}  // namespace
 
-Network quick_synthesis(const Network& net, int aig_threshold) {
-  if (aig_threshold >= 0 && net.num_logic_nodes() >= aig_threshold) {
-    // Above the threshold the SOP-level pass (per-node covers, string
-    // strash keys) stops being "quick"; the AIG substrate takes over.
+Network quick_synthesis(const Network& net) {
+  if (net.num_logic_nodes() >= kAigQuickSynthesisThreshold) {
+    // Not because the SOP pass gets slow here: its output is what makes
+    // the rest of the flow slow (see kAigQuickSynthesisThreshold).
     return aig::aig_quick_synthesis(net);
   }
-  return optimize(net);
-}
-
-int resubstitute(Network& net) {
-  // `order` pins the pre-rewrite topological order for the sweep (the
-  // legacy code iterated a by-value snapshot with the same property);
-  // `info` supplies levels and CSR fanout adjacency and is refreshed after
-  // each rewrite, exactly where the legacy levels/fanouts recompute sat.
-  const std::shared_ptr<const TopologyView> order = net.topology();
-  std::shared_ptr<const TopologyView> info = order;
-  int rewrites = 0;
-
-  for (NodeId id : order->topo()) {
-    const Node& n = net.node(id);
-    if (n.kind != NodeKind::kLogic) continue;
-    if (n.fanins.size() < 2 || n.sop.num_cubes() < 2) continue;
-
-    // Map from network node -> variable index within n's SOP.
-    std::unordered_map<NodeId, int> var_of;
-    for (size_t v = 0; v < n.fanins.size(); ++v) {
-      var_of[n.fanins[v]] = static_cast<int>(v);
-    }
-
-    // Candidate divisors: logic nodes fed by at least two of n's fanins,
-    // with every fanin inside n's fanin set and a strictly smaller level
-    // (which rules out any dependency of the divisor on n).
-    std::unordered_map<NodeId, int> shared;
-    for (NodeId f : n.fanins) {
-      for (NodeId out : info->fanouts(f)) ++shared[out];
-    }
-    const Node* best_divisor = nullptr;
-    NodeId best_divisor_id = kNullNode;
-    Sop best_new_sop(0);
-    int best_savings = 0;
-
-    for (const auto& [cand, count] : shared) {
-      if (cand == id || count < 2) continue;
-      const Node& d = net.node(cand);
-      if (d.kind != NodeKind::kLogic) continue;
-      if (info->level(cand) > info->level(id)) {
-        continue;  // same level cannot depend on id
-      }
-      if (d.sop.num_cubes() < 2) continue;  // single cubes rarely help
-      bool subset = true;
-      for (NodeId f : d.fanins) {
-        if (!var_of.count(f)) {
-          subset = false;
-          break;
-        }
-      }
-      if (!subset) continue;
-
-      // Remap d's SOP into n's variable space.
-      Sop divisor(n.sop.num_vars());
-      for (const Cube& c : d.sop.cubes()) {
-        Cube remapped = Cube::full(n.sop.num_vars());
-        for (int v = 0; v < d.sop.num_vars(); ++v) {
-          LitCode code = c.get(v);
-          if (code != LitCode::kFree) {
-            remapped.set(var_of.at(d.fanins[v]), code);
-          }
-        }
-        divisor.add_cube(remapped);
-      }
-      auto [q, r] = algebraic_divide(n.sop, divisor);
-      if (q.empty()) continue;
-
-      // Rewritten SOP over fanins + the divisor signal as a new variable.
-      const int nv = n.sop.num_vars();
-      Sop rewritten(nv + 1);
-      for (const Cube& c : q.cubes()) {
-        Cube wide = Cube::full(nv + 1);
-        for (int v = 0; v < nv; ++v) wide.set(v, c.get(v));
-        wide.set(nv, LitCode::kPos);
-        rewritten.add_cube(wide);
-      }
-      for (const Cube& c : r.cubes()) {
-        Cube wide = Cube::full(nv + 1);
-        for (int v = 0; v < nv; ++v) wide.set(v, c.get(v));
-        rewritten.add_cube(wide);
-      }
-      int savings = n.sop.literal_count() -
-                    (rewritten.literal_count());
-      if (savings > best_savings) {
-        best_savings = savings;
-        best_divisor = &d;
-        best_divisor_id = cand;
-        best_new_sop = std::move(rewritten);
-      }
-    }
-    if (best_divisor != nullptr) {
-      std::vector<NodeId> fanins = n.fanins;
-      fanins.push_back(best_divisor_id);
-      Sop sop = best_new_sop;
-      compact_node(fanins, sop);
-      net.set_function(id, std::move(fanins), std::move(sop));
-      ++rewrites;
-      // Levels may have grown through the new edge; refresh the snapshot.
-      info = net.topology();
-    }
-  }
-  return rewrites;
+  return sop_quick_synthesis(net);
 }
 
 void compact_unused_fanins(Network& net) {

@@ -1,6 +1,6 @@
 // Light technology-independent optimization ("quick synthesis", paper
-// Sec. 3): constant sweeping, buffer/inverter collapsing, per-node SOP
-// minimization, and elimination of trivially absorbable nodes. Applied
+// Sec. 3): constant sweeping, duplicate-fanin fusion, per-node SOP
+// minimization, buffer/inverter collapsing and structural hashing. Applied
 // before mapping and before approximate synthesis.
 #pragma once
 
@@ -8,45 +8,25 @@
 
 namespace apx {
 
-struct OptimizeOptions {
-  bool sweep_constants = true;
-  bool collapse_buffers = true;
-  bool minimize_sops = true;
-  /// Collapse single-fanout nodes into their fanout when the merged SOP does
-  /// not grow past this many cubes (0 disables elimination).
-  int eliminate_cube_limit = 0;
-  /// Run algebraic resubstitution after the per-node pass: re-express nodes
-  /// using existing nodes as divisors when that saves literals.
-  bool resubstitute = false;
-};
-
-/// Returns an optimized copy of `net` (same PIs/POs).
-Network optimize(const Network& net, const OptimizeOptions& options = {});
-
 /// Logic-node count at or above which quick_synthesis switches from the
-/// SOP-level optimize() pass to the AIG substrate (structural hashing +
-/// NPN-canonical cut rewriting). Every circuit in the committed benchmark
-/// suite sits below this, so their synthesis results — and the bench
-/// artifacts derived from them — are bit-identical to the pre-AIG flow;
-/// the generated 10k+-gate circuits sit above it and scale.
+/// SOP-level pass to the AIG substrate (structural hashing + NPN-canonical
+/// cut rewriting). The SOP pass itself is the faster and smaller-mapping
+/// one on both large circuits measured (EXPERIMENTS.md, bench_aig); the
+/// switch pays off downstream, where the SOP pass's output makes
+/// approximate synthesis and its SAT fallback far slower. Every circuit in
+/// the committed benchmark suite sits below this, and forcing the AIG path
+/// onto them raises their CED area overhead, so both substrates stay.
 inline constexpr int kAigQuickSynthesisThreshold = 5000;
 
 /// Quick-synthesis preset used before reliability analysis and mapping.
-/// Dispatches on `aig_threshold` (see kAigQuickSynthesisThreshold; pass
-/// 0 to force the AIG path, a negative value to disable it).
+/// Returns an optimized copy of `net` (same PIs/POs): below
+/// kAigQuickSynthesisThreshold logic nodes the SOP pass; at or above it
+/// aig::aig_quick_synthesis.
 Network quick_synthesis(const Network& net);
-Network quick_synthesis(const Network& net, int aig_threshold);
 
 /// Drops fanins (and the matching SOP variables) that no cube of a node
 /// binds, across the whole network, so cleanup() can remove logic that only
 /// fed now-unused literals. Mutates `net` in place.
 void compact_unused_fanins(Network& net);
-
-/// Algebraic resubstitution: for each node f, looks for an existing node d
-/// (with fanins drawn from f's fanins, at a strictly smaller level) whose
-/// SOP algebraically divides f's; when the rewrite f = q*d + r saves
-/// literals, f's SOP is re-expressed over {fanins, d}. Returns the number
-/// of rewrites performed. Mutates `net` in place; functions are preserved.
-int resubstitute(Network& net);
 
 }  // namespace apx

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace apx {
 namespace {
@@ -102,7 +103,7 @@ Sop irredundant(const Sop& cover, const Sop& dc) {
   return result;
 }
 
-Sop minimize(const Sop& onset, const Sop& dc, const MinimizeOptions& options) {
+Sop minimize(const Sop& onset, const Sop& dc) {
   assert(onset.num_vars() == dc.num_vars());
   Sop care = Sop::disjunction(onset, dc);
   Sop offset = Sop::complement(care);
@@ -110,29 +111,26 @@ Sop minimize(const Sop& onset, const Sop& dc, const MinimizeOptions& options) {
   cover.make_scc_free();
   cover = expand_against_offset(cover, offset);
   cover = irredundant(cover, dc);
-  // Scratch rest-cover for REDUCE, hoisted out of the refinement loop: the
-  // dc cubes never change, so they sit as a fixed prefix and each cube's
-  // probe rebuilds only the tail (covers are order-independent sets).
+  // One REDUCE / EXPAND / IRREDUNDANT refinement pass, kept only when it
+  // improves the cover. The dc cubes sit as a fixed prefix of the scratch
+  // rest-cover, so each cube's probe rebuilds only the tail (covers are
+  // order-independent sets).
   Sop rest(cover.num_vars());
   for (const Cube& d : dc.cubes()) rest.add_cube(d);
   const int dc_prefix = rest.num_cubes();
-  for (int iter = 0; iter < options.refine_iterations; ++iter) {
-    // REDUCE / EXPAND / IRREDUNDANT refinement.
-    Sop reduced(cover.num_vars());
-    for (int i = 0; i < cover.num_cubes(); ++i) {
-      rest.truncate(dc_prefix);
-      for (int j = 0; j < cover.num_cubes(); ++j) {
-        if (j != i) rest.add_cube(cover.cube(j));
-      }
-      reduced.add_cube(reduce_cube(cover.cube(i), rest));
+  Sop reduced(cover.num_vars());
+  for (int i = 0; i < cover.num_cubes(); ++i) {
+    rest.truncate(dc_prefix);
+    for (int j = 0; j < cover.num_cubes(); ++j) {
+      if (j != i) rest.add_cube(cover.cube(j));
     }
-    Sop next = expand_against_offset(reduced, offset);
-    next = irredundant(next, dc);
-    if (next.literal_count() >= cover.literal_count() &&
-        next.num_cubes() >= cover.num_cubes()) {
-      break;
-    }
-    cover = next;
+    reduced.add_cube(reduce_cube(cover.cube(i), rest));
+  }
+  Sop next = expand_against_offset(reduced, offset);
+  next = irredundant(next, dc);
+  if (next.literal_count() < cover.literal_count() ||
+      next.num_cubes() < cover.num_cubes()) {
+    cover = std::move(next);
   }
   return cover;
 }

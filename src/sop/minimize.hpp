@@ -1,5 +1,6 @@
 // Espresso-style heuristic two-level minimization: EXPAND against the
-// off-set, IRREDUNDANT via tautology checking, and an optional REDUCE pass.
+// off-set, IRREDUNDANT via tautology checking, and one REDUCE/EXPAND/
+// IRREDUNDANT refinement pass kept when it improves the cover.
 // Used by the quick-synthesis/mapping flow and by the approximation stage
 // when rewriting node SOPs (paper Sec. 2.2 "Approximation of SOPs").
 #pragma once
@@ -7,12 +8,6 @@
 #include "sop/sop.hpp"
 
 namespace apx {
-
-/// Options for the heuristic minimizer.
-struct MinimizeOptions {
-  /// Run the REDUCE/EXPAND refinement loop this many extra times.
-  int refine_iterations = 1;
-};
 
 /// Expands each cube of `cover` to a prime of (cover + dc) by removing
 /// literals while staying disjoint from `offset`. Returns an SCC-free cover.
@@ -23,8 +18,7 @@ Sop irredundant(const Sop& cover, const Sop& dc);
 
 /// Heuristic minimization of the incompletely specified function
 /// (onset, dc). The result covers onset and is contained in onset + dc.
-Sop minimize(const Sop& onset, const Sop& dc,
-             const MinimizeOptions& options = {});
+Sop minimize(const Sop& onset, const Sop& dc);
 
 /// Convenience: minimize a completely specified cover.
 inline Sop minimize(const Sop& onset) {

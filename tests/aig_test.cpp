@@ -10,8 +10,6 @@
 #include "aig/npn.hpp"
 #include "aig/rewrite.hpp"
 #include "benchmarks/benchmarks.hpp"
-#include "mapping/optimize.hpp"
-#include "network/ordering.hpp"
 #include "sat/encode.hpp"
 #include "sat/solver.hpp"
 
@@ -158,12 +156,11 @@ TEST(AigTest, CutTruthTablesMatchSimulation) {
 
 TEST(AigTest, CutSetsAreBoundedAndContainTrivialCut) {
   const Aig g = random_aig(7, 6, 120, 3);
-  CutOptions options;
-  const CutSet cs = enumerate_cuts(g, options);
+  const CutSet cs = enumerate_cuts(g);
   for (uint32_t id = 1; id < static_cast<uint32_t>(g.num_nodes()); ++id) {
     const auto& cuts = cs.cuts[id];
     ASSERT_FALSE(cuts.empty());
-    EXPECT_LE(static_cast<int>(cuts.size()), options.max_cuts);
+    EXPECT_LE(static_cast<int>(cuts.size()), kMaxCuts);
     const Cut& trivial = cuts.back();
     EXPECT_EQ(trivial.size, 1);
     EXPECT_EQ(trivial.leaves[0], id);
@@ -198,7 +195,7 @@ TEST(AigTest, RewritePreservesFunctionAndNeverGrows) {
   for (uint32_t seed = 1; seed <= 6; ++seed) {
     const Aig src = random_aig(seed, 8, 120, 5);
     RewriteStats stats;
-    const Aig out = rewrite(src, RewriteOptions{}, &stats);
+    const Aig out = rewrite(src, &stats);
     ASSERT_NO_THROW(out.check());
     EXPECT_LE(stats.ands_after, stats.ands_before);
     EXPECT_EQ(stats.ands_after, out.count_reachable_ands());
@@ -233,19 +230,6 @@ TEST(AigTest, RewrittenRoundTripEquivalentOnMediumSuite) {
     const Network synth = aig_quick_synthesis(net);
     EXPECT_TRUE(all_pos_equivalent(net, synth)) << name;
   }
-}
-
-TEST(AigTest, QuickSynthesisRoutesByThreshold) {
-  // Below the threshold the new overloads are bit-identical to the legacy
-  // optimize() pass (content hash catches any divergence).
-  const Network net = make_benchmark("term1");
-  const Network legacy = optimize(net);
-  const Network routed = quick_synthesis(net);
-  EXPECT_EQ(network_content_hash(routed), network_content_hash(legacy));
-
-  // Forcing the AIG path (threshold 0) still preserves the function.
-  const Network forced = quick_synthesis(net, 0);
-  EXPECT_TRUE(all_pos_equivalent(net, forced));
 }
 
 TEST(AigTest, ConvertersPreserveInterfaceNamesAndOrder) {

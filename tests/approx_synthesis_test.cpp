@@ -41,7 +41,7 @@ TEST(ApproxSynthesisTest, Section2ExampleVerifiesAndCovers) {
   EXPECT_GE(result.po_stats[0].approximation_pct, 12.0 / 14.0 - 1e-9);
   // And it should be smaller than the original.
   EXPECT_LT(technology_map(result.approx).num_logic_nodes(),
-            technology_map(optimize(net)).num_logic_nodes());
+            technology_map(quick_synthesis(net)).num_logic_nodes());
 }
 
 TEST(ApproxSynthesisTest, ZeroApproxDirection) {

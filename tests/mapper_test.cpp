@@ -132,7 +132,7 @@ TEST(OptimizeTest, SweepsConstantsAndBuffers) {
   NodeId buf = net.add_buf(t);          // == a
   NodeId inv2 = net.add_not(net.add_not(buf));  // == a
   net.add_po("f", net.add_and(inv2, b));
-  Network opt = optimize(net);
+  Network opt = quick_synthesis(net);
   EXPECT_EQ(opt.num_logic_nodes(), 1);
   EXPECT_EQ(check_po_equivalence(net, 0, opt, 0), CheckResult::kHolds);
 }
@@ -144,7 +144,7 @@ TEST(OptimizeTest, StrashMergesDuplicates) {
   NodeId x = net.add_and(a, b);
   NodeId y = net.add_and(a, b);
   net.add_po("f", net.add_or(x, y));
-  Network opt = optimize(net);
+  Network opt = quick_synthesis(net);
   // x and y merge; the OR of identical signals minimizes to a buffer which
   // collapses, leaving just the AND.
   EXPECT_EQ(opt.num_logic_nodes(), 1);
@@ -159,7 +159,7 @@ TEST(OptimizeTest, MinimizeReducesRedundantSop) {
   // ab + a'c + bc (redundant consensus term).
   NodeId f = net.add_node({a, b, c}, *Sop::parse(3, "11-\n0-1\n-11"));
   net.add_po("f", f);
-  Network opt = optimize(net);
+  Network opt = quick_synthesis(net);
   EXPECT_EQ(opt.node(opt.po(0).driver).sop.num_cubes(), 2);
   EXPECT_EQ(check_po_equivalence(net, 0, opt, 0), CheckResult::kHolds);
 }
@@ -170,7 +170,7 @@ TEST_P(OptimizeProperty, PreservesAllOutputs) {
   std::mt19937 rng(GetParam());
   for (int trial = 0; trial < 5; ++trial) {
     Network net = random_network(rng, 6, 15);
-    Network opt = optimize(net);
+    Network opt = quick_synthesis(net);
     for (int po = 0; po < net.num_pos(); ++po) {
       EXPECT_EQ(check_po_equivalence(net, po, opt, po), CheckResult::kHolds);
     }

@@ -177,7 +177,9 @@ TEST_F(SimdIdentityTest, SynthesisResultsAreIdenticalAcrossTiers) {
   std::vector<ApproxDirection> dirs(net.num_pos(),
                                     ApproxDirection::kZeroApprox);
   ApproxOptions options;
-  options.sim_words = 9;  // odd: prescreen planes cross every tail path
+  // Odd width: the observability planes feeding synthesis cross every tail
+  // path.
+  options.type_options.sim_words = 9;
 
   std::optional<std::string> reference;
   std::optional<int> reference_repairs;
