@@ -17,6 +17,7 @@
 #include "bench_util.hpp"
 #include "core/ced.hpp"
 #include "core/pipeline.hpp"
+#include "core/trace.hpp"
 #include "mapping/mapper.hpp"
 #include "mapping/optimize.hpp"
 #include "sim/fault_engine.hpp"
@@ -309,6 +310,19 @@ int main(int argc, char** argv) {
                         t.result.erroneous == engine_runs[0].result.erroneous &&
                         t.result.detected == engine_runs[0].result.detected;
   }
+  // The walk's work per fault: one extra single-thread campaign with
+  // tracing on, read back from the engine's faultsim.gate_evals counter.
+  trace::reset();
+  trace::set_trace_enabled(true);
+  run_engine(ced, options, 1);
+  trace::set_trace_enabled(false);
+  const double gate_evals_per_fault =
+      static_cast<double>(trace::counter("faultsim.gate_evals").value()) /
+      options.num_fault_samples;
+  std::printf("cone walk: %.1f gate evaluations per fault, %.0f faults/s "
+              "on one thread\n",
+              gate_evals_per_fault, engine_runs[0].faults_per_sec);
+
   double speedup = engine_runs[0].faults_per_sec / baseline.faults_per_sec;
   std::printf("\nsingle-thread speedup over per-fault rerun: %.1fx\n",
               speedup);
@@ -474,6 +488,10 @@ int main(int argc, char** argv) {
         i + 1 < widths.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"gate_evals_per_fault\": %.2f,\n",
+               gate_evals_per_fault);
+  std::fprintf(f, "  \"single_thread_faults_per_sec\": %.1f,\n",
+               engine_runs[0].faults_per_sec);
   std::fprintf(f, "  \"sweep_words\": %d,\n", sweep_words);
   std::fprintf(f, "  \"sweep_reps\": %d,\n", sweep_reps);
   std::fprintf(f, "  \"speedup_single_thread\": %.2f,\n", speedup);

@@ -12,20 +12,13 @@
 
 namespace apx {
 
-struct ParityOptions {
-  /// Library/script used to map the predictor (XOR trees decompose into
-  /// the library's gates).
-  MapOptions map_options;
-};
-
 /// Builds the parity-prediction CED design around a mapped circuit.
-CedDesign build_parity_ced(const Network& mapped,
-                           const ParityOptions& options = {});
+CedDesign build_parity_ced(const Network& mapped);
 
 /// The standalone parity-predictor network (single PO = XOR of all POs),
-/// mapped with the given options. Exposed for delay studies (paper: parity
-/// prediction lengthens the critical path by ~51%).
-Network build_parity_predictor(const Network& mapped,
-                               const ParityOptions& options = {});
+/// mapped onto the default library (XOR trees decompose into its gates).
+/// Exposed for delay studies (paper: parity prediction lengthens the
+/// critical path by ~51%).
+Network build_parity_predictor(const Network& mapped);
 
 }  // namespace apx

@@ -79,30 +79,36 @@ RankHistogram rank_histogram(const Network& net,
   }
 
   FaultSimEngine engine(net);
-  // Per-sample rows (ranks counters + the erroneous total), merged in
-  // sample order afterwards so the result is bit-identical for any
-  // thread count.
+  std::vector<NodeId> drivers(ranks);
+  for (size_t k = 0; k < ranks; ++k) {
+    drivers[k] = net.po(ranked_pos[k]).driver;
+  }
+  // Per-slot rows (ranks counters + the erroneous total), merged in slot
+  // order afterwards; integer sums are exact, so the result is
+  // bit-identical for any thread count.
   const size_t stride = ranks + 1;
-  std::vector<int64_t> rows(
-      static_cast<size_t>(options.num_fault_samples) * stride, 0);
+  const int slots = resolve_thread_option(options.num_threads);
+  std::vector<int64_t> rows(static_cast<size_t>(slots) * stride, 0);
   // "First erroneous PO has rank k" counts via the prefix-OR identity: the
   // bits rank k claims are exactly the bits it adds to the running OR of
   // ranks 0..k, so row[k] = |prefix after k| - |prefix before k| — the
   // per-word remaining/any bookkeeping reduced to one accumulate and one
-  // popcount kernel call per rank.
-  const int slots = resolve_thread_option(options.num_threads);
+  // popcount kernel call per rank. A driver the fault never touched adds
+  // no bits, so the prefix popcount only moves after a touched rank.
   std::vector<std::vector<uint64_t>> any_scratch(slots);
   run_model_campaign(
       engine, net, faults, options, options.seed,
-      [&](int i, const FaultSpec&, const FaultView& v) {
-        int64_t* row = rows.data() + static_cast<size_t>(i) * stride;
+      [&](int, const FaultSpec&, const FaultView& v) {
+        int64_t* row =
+            rows.data() + static_cast<size_t>(v.worker_slot()) * stride;
         const int W = v.num_words();
         const uint64_t tail = v.word_mask(W - 1);
         std::vector<uint64_t>& any_row = any_scratch[v.worker_slot()];
         any_row.assign(static_cast<size_t>(W), 0);
         int64_t prev = 0;
         for (size_t k = 0; k < ranks; ++k) {
-          NodeId drv = net.po(ranked_pos[k]).driver;
+          const NodeId drv = drivers[k];
+          if (!v.touched(drv)) continue;
           accumulate_xor_or(any_row.data(), v.golden(drv), v.faulty(drv), W);
           const int64_t cur = popcount_words(any_row.data(), W, tail);
           row[k] += cur - prev;
@@ -110,7 +116,7 @@ RankHistogram rank_histogram(const Network& net,
         }
         row[ranks] += prev;
       });
-  for (int s = 0; s < options.num_fault_samples; ++s) {
+  for (int s = 0; s < slots; ++s) {
     const int64_t* row = rows.data() + static_cast<size_t>(s) * stride;
     for (size_t k = 0; k < ranks; ++k) hist.first_error_at_rank[k] += row[k];
     hist.erroneous += row[ranks];
@@ -130,16 +136,19 @@ std::vector<int64_t> output_error_counts(
   }
 
   FaultSimEngine engine(net);
-  std::vector<int64_t> rows(
-      static_cast<size_t>(options.num_fault_samples) * num_pos, 0);
+  // Per-slot rows merged in slot order, as in rank_histogram.
+  const int slots = resolve_thread_option(options.num_threads);
+  std::vector<int64_t> rows(static_cast<size_t>(slots) * num_pos, 0);
   run_model_campaign(
       engine, net, faults, options, options.seed ^ 0xABCD,
-      [&](int i, const FaultSpec&, const FaultView& v) {
-        int64_t* row = rows.data() + static_cast<size_t>(i) * num_pos;
+      [&](int, const FaultSpec&, const FaultView& v) {
+        int64_t* row =
+            rows.data() + static_cast<size_t>(v.worker_slot()) * num_pos;
         const int W = v.num_words();
         const uint64_t tail = v.word_mask(W - 1);
         for (size_t o = 0; o < num_pos; ++o) {
           NodeId drv = net.po(static_cast<int>(o)).driver;
+          if (!v.touched(drv)) continue;  // golden == faulty: no error bits
           const uint64_t* g = v.golden(drv);
           const uint64_t* f = v.faulty(drv);
           // |g ^ f| = |~g & f| + |g & ~f|.
@@ -147,7 +156,7 @@ std::vector<int64_t> output_error_counts(
                     popcount_andnot(f, g, W, tail);
         }
       });
-  for (int s = 0; s < options.num_fault_samples; ++s) {
+  for (int s = 0; s < slots; ++s) {
     const int64_t* row = rows.data() + static_cast<size_t>(s) * num_pos;
     for (size_t o = 0; o < num_pos; ++o) rate[o] += row[o];
   }

@@ -110,6 +110,7 @@ SharingReport apply_logic_sharing(CedDesign& ced,
           std::vector<uint64_t>& err = err_scratch[v.worker_slot()];
           err.assign(static_cast<size_t>(W), 0);
           for (NodeId out : ced.functional_outputs) {
+            if (!v.touched(out)) continue;  // golden == faulty
             accumulate_xor_or(err.data(), v.golden(out), v.faulty(out), W);
           }
           errors[i] = popcount_words(err.data(), W, ~0ULL);

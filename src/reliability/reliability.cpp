@@ -67,6 +67,7 @@ ReliabilityReport analyze_reliability(const Network& net,
     any_row.assign(static_cast<size_t>(W), 0);
     for (int o = 0; o < P; ++o) {
       NodeId drv = net.po(o).driver;
+      if (!v.touched(drv)) continue;  // golden == faulty: no error bits
       const uint64_t* g = v.golden(drv);
       const uint64_t* f = v.faulty(drv);
       c01[o] += popcount_andnot(g, f, W, tail);  // ~g & f
@@ -106,6 +107,7 @@ ReliabilityReport analyze_reliability(const Network& net,
     dom_row.assign(static_cast<size_t>(W), 0);
     for (int o = 0; o < P; ++o) {
       NodeId drv = net.po(o).driver;
+      if (!v.touched(drv)) continue;
       const uint64_t* g = v.golden(drv);
       const uint64_t* f = v.faulty(drv);
       if (dirs[o] == ApproxDirection::kZeroApprox) {

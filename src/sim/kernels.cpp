@@ -200,15 +200,6 @@ void accumulate_andnot_or_scalar(uint64_t* acc, const uint64_t* a,
   for (int w = 0; w < n; ++w) acc[w] |= ~a[w] & b[w];
 }
 
-bool rows_differ_scalar(const uint64_t* a, const uint64_t* b, int num_words,
-                        uint64_t tail_mask) {
-  if (num_words <= 0) return false;
-  uint64_t diff = 0;
-  for (int i = 0; i + 1 < num_words; ++i) diff |= a[i] ^ b[i];
-  diff |= (a[num_words - 1] ^ b[num_words - 1]) & tail_mask;
-  return diff != 0;
-}
-
 #if APX_SIMD_X86
 
 // AVX2 has no vector popcount instruction; the standard pshufb nibble-LUT
@@ -216,8 +207,8 @@ bool rows_differ_scalar(const uint64_t* a, const uint64_t* b, int num_words,
 // into per-lane u64 totals). AVX-512F alone adds none of the byte ops this
 // needs (VPOPCNTDQ / AVX512BW are separate extensions the dispatch tier
 // does not require), so the avx512 tier routes the popcount reductions to
-// this 256-bit path and keeps its 512-bit lanes for the combine/compare
-// kernels below.
+// this 256-bit path and keeps its 512-bit lanes for the combine kernels
+// below.
 
 __attribute__((target("avx2"))) inline __m256i popcnt256(__m256i v) {
   const __m256i lut =
@@ -334,25 +325,6 @@ __attribute__((target("avx2"))) void accumulate_andnot_or_avx2(
   for (; w < n; ++w) acc[w] |= ~a[w] & b[w];
 }
 
-__attribute__((target("avx2"))) bool rows_differ_avx2(const uint64_t* a,
-                                                      const uint64_t* b,
-                                                      int num_words,
-                                                      uint64_t tail_mask) {
-  if (num_words <= 0) return false;
-  const int full = num_words - 1;  // the final word needs the mask
-  int w = 0;
-  for (; w + 4 <= full; w += 4) {
-    __m256i d = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)));
-    if (!_mm256_testz_si256(d, d)) return true;
-  }
-  uint64_t diff = 0;
-  for (; w < full; ++w) diff |= a[w] ^ b[w];
-  diff |= (a[full] ^ b[full]) & tail_mask;
-  return diff != 0;
-}
-
 __attribute__((target("avx512f"))) void accumulate_xor_or_avx512(
     uint64_t* acc, const uint64_t* a, const uint64_t* b, int n) {
   int w = 0;
@@ -382,24 +354,6 @@ __attribute__((target("avx512f"))) void accumulate_andnot_or_avx512(
 
 #pragma GCC diagnostic pop
 
-__attribute__((target("avx512f"))) bool rows_differ_avx512(const uint64_t* a,
-                                                           const uint64_t* b,
-                                                           int num_words,
-                                                           uint64_t tail_mask) {
-  if (num_words <= 0) return false;
-  const int full = num_words - 1;
-  int w = 0;
-  for (; w + 8 <= full; w += 8) {
-    __m512i d = _mm512_xor_epi64(_mm512_loadu_si512(a + w),
-                                 _mm512_loadu_si512(b + w));
-    if (_mm512_test_epi64_mask(d, d) != 0) return true;
-  }
-  uint64_t diff = 0;
-  for (; w < full; ++w) diff |= a[w] ^ b[w];
-  diff |= (a[full] ^ b[full]) & tail_mask;
-  return diff != 0;
-}
-
 #endif  // APX_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -409,7 +363,6 @@ __attribute__((target("avx512f"))) bool rows_differ_avx512(const uint64_t* a,
 // ---------------------------------------------------------------------------
 
 using EvalFn = void (*)(const Sop&, const uint64_t* const*, int, uint64_t*);
-using RowsDifferFn = bool (*)(const uint64_t*, const uint64_t*, int, uint64_t);
 using Pop1Fn = int64_t (*)(const uint64_t*, int, uint64_t);
 using Pop2Fn = int64_t (*)(const uint64_t*, const uint64_t*, int, uint64_t);
 using Pop3Fn = int64_t (*)(const uint64_t*, const uint64_t*, const uint64_t*,
@@ -419,7 +372,6 @@ using Acc2Fn = void (*)(uint64_t*, const uint64_t*, const uint64_t*, int);
 struct Dispatch {
   simd::Tier tier;
   EvalFn eval;
-  RowsDifferFn rows_differ;
   Pop1Fn popcount_words;
   Pop2Fn popcount_and;
   Pop3Fn popcount_xor_and;
@@ -429,28 +381,28 @@ struct Dispatch {
 };
 
 const Dispatch kDispatchTable[3] = {
-    {simd::Tier::kScalar, &eval_sop_scalar, &rows_differ_scalar,
+    {simd::Tier::kScalar, &eval_sop_scalar,
      &popcount_words_scalar, &popcount_and_scalar, &popcount_xor_and_scalar,
      &popcount_andnot_scalar, &accumulate_xor_or_scalar,
      &accumulate_andnot_or_scalar},
 #if APX_SIMD_X86
-    {simd::Tier::kAvx2, &eval_sop_avx2, &rows_differ_avx2,
+    {simd::Tier::kAvx2, &eval_sop_avx2,
      &popcount_words_avx2, &popcount_and_avx2, &popcount_xor_and_avx2,
      &popcount_andnot_avx2, &accumulate_xor_or_avx2,
      &accumulate_andnot_or_avx2},
     // The avx512 tier reuses the 256-bit popcount path (AVX-512F alone has
     // no byte shuffle/popcount; see popcnt256) but runs 512-bit lanes for
-    // the combine/compare kernels.
-    {simd::Tier::kAvx512, &eval_sop_avx512, &rows_differ_avx512,
+    // the combine kernels.
+    {simd::Tier::kAvx512, &eval_sop_avx512,
      &popcount_words_avx2, &popcount_and_avx2, &popcount_xor_and_avx2,
      &popcount_andnot_avx2, &accumulate_xor_or_avx512,
      &accumulate_andnot_or_avx512},
 #else
-    {simd::Tier::kAvx2, &eval_sop_scalar, &rows_differ_scalar,
+    {simd::Tier::kAvx2, &eval_sop_scalar,
      &popcount_words_scalar, &popcount_and_scalar, &popcount_xor_and_scalar,
      &popcount_andnot_scalar, &accumulate_xor_or_scalar,
      &accumulate_andnot_or_scalar},
-    {simd::Tier::kAvx512, &eval_sop_scalar, &rows_differ_scalar,
+    {simd::Tier::kAvx512, &eval_sop_scalar,
      &popcount_words_scalar, &popcount_and_scalar, &popcount_xor_and_scalar,
      &popcount_andnot_scalar, &accumulate_xor_or_scalar,
      &accumulate_andnot_or_scalar},
@@ -584,11 +536,6 @@ void set_tier(Tier tier) {
 void eval_sop_words(const Sop& sop, const uint64_t* const* fanin,
                     int num_words, uint64_t* out) {
   active_dispatch().eval(sop, fanin, num_words, out);
-}
-
-bool rows_differ(const uint64_t* a, const uint64_t* b, int num_words,
-                 uint64_t tail_mask) {
-  return active_dispatch().rows_differ(a, b, num_words, tail_mask);
 }
 
 int64_t popcount_words(const uint64_t* a, int num_words, uint64_t tail_mask) {

@@ -59,18 +59,11 @@ void set_tier(Tier tier);
 
 /// Evaluates a node's SOP bit-parallel over `num_words` words through the
 /// active SIMD kernel. `fanin[k]` points at the word row of SOP variable k.
-/// Shared evaluation kernel of Simulator and FaultSimEngine. Exactly the
-/// words [0, num_words) are written; callers keeping padded rows rely on
-/// padding words never being touched.
+/// Evaluation kernel of Simulator (and so of every golden plane). Exactly
+/// the words [0, num_words) are written; callers keeping padded rows rely
+/// on padding words never being touched.
 void eval_sop_words(const Sop& sop, const uint64_t* const* fanin,
                     int num_words, uint64_t* out);
-
-/// True when rows a and b differ on any *valid* pattern bit: all bits of
-/// words [0, num_words-1), and only the tail_mask bits of the final word.
-/// Pass ~0ULL when every pattern of the final word is valid. Dispatched
-/// like eval_sop_words; every tier returns the same bool.
-bool rows_differ(const uint64_t* a, const uint64_t* b, int num_words,
-                 uint64_t tail_mask);
 
 // ---------------------------------------------------------------------------
 // Masked popcount-reduce kernels: the campaign visitors' accounting loops

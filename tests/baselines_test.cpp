@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "benchmarks/benchmarks.hpp"
+#include "core/task_pool.hpp"
 #include "mapping/optimize.hpp"
 #include "sim/simulator.hpp"
 
@@ -134,6 +135,49 @@ TEST(PartialDuplicationTest, CoverageTracksEstimate) {
   // Duplication detects every error visible at a duplicated output, so the
   // measured coverage should be near the selection-time estimate.
   EXPECT_NEAR(cov.coverage(), r.estimated_coverage, 0.15);
+}
+
+// Selection and coverage of two Table-2 circuits, pinned to the values the
+// per-sample accounting produced before the campaign visitors moved to
+// per-slot rows and skipped untouched PO drivers. Both are exact integer
+// rewrites, so every figure must stay bit-identical under any
+// APX_THREADS policy.
+TEST(PartialDuplicationTest, SelectionAndCoveragePinnedAcrossThreadPolicies) {
+  struct Pin {
+    const char* bench;
+    double target;
+    std::vector<int> duplicated_pos;
+    double estimated_coverage;
+    int64_t erroneous;
+    int64_t detected;
+  };
+  const Pin pins[] = {
+      {"term1", 0.6, {7, 4, 3}, 0.62320406865861411, 93337, 57296},
+      {"x1", 0.55, {32, 29, 15, 33, 16, 25, 9, 11, 23, 20, 2},
+       0.59432358428115784, 135224, 85220},
+  };
+  struct ThreadPolicyGuard {
+    ~ThreadPolicyGuard() { set_thread_count(0); }
+  } guard;
+  for (const Pin& pin : pins) {
+    const Network mapped = mapped_bench(pin.bench);
+    for (int threads : {1, 4}) {
+      set_thread_count(threads);
+      PartialDuplicationOptions options;
+      options.num_fault_samples = 3000;
+      const PartialDuplicationResult r =
+          build_partial_duplication(mapped, pin.target, options);
+      CoverageOptions copt;
+      copt.num_fault_samples = 3000;
+      const CoverageResult cov = evaluate_ced_coverage(r.ced, copt);
+      EXPECT_EQ(r.duplicated_pos, pin.duplicated_pos)
+          << pin.bench << " at " << threads << " thread(s)";
+      EXPECT_DOUBLE_EQ(r.estimated_coverage, pin.estimated_coverage)
+          << pin.bench << " at " << threads << " thread(s)";
+      EXPECT_EQ(cov.erroneous, pin.erroneous) << pin.bench;
+      EXPECT_EQ(cov.detected, pin.detected) << pin.bench;
+    }
+  }
 }
 
 }  // namespace
