@@ -42,6 +42,16 @@ void* operator new[](std::size_t n) {
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// come from malloc too, or the frees below mismatch their allocator.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
