@@ -2,9 +2,12 @@
 // size"; i10 — the largest benchmark — synthesized in 5m28s on 2007-era
 // hardware). Times the synthesis stages across the benchmark size ladder:
 // each row is the median of kRuns runs with the min and max beside it.
+// approx_synthesis rows also print network_content_hash of the result, so
+// a speedup can be checked against an unchanged output.
 // APXCED_SCALE scales the fault-sample budgets; APXCED_THREADS caps the
 // parallel suite row (default: all hardware threads).
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -16,6 +19,7 @@
 #include "core/pipeline.hpp"
 #include "core/task_pool.hpp"
 #include "mapping/optimize.hpp"
+#include "network/ordering.hpp"
 #include "reliability/reliability.hpp"
 
 namespace {
@@ -44,9 +48,10 @@ Timing time_runs(const std::function<void()>& work) {
 }
 
 void print_row(const char* stage, const std::string& row, int64_t gates,
-               const Timing& t) {
-  std::printf("%-22s %-11s %7lld %11.2f %9.2f %9.2f\n", stage, row.c_str(),
-              static_cast<long long>(gates), t.median_ms, t.min_ms, t.max_ms);
+               const Timing& t, const std::string& note = "") {
+  std::printf("%-22s %-11s %7lld %11.2f %9.2f %9.2f %s\n", stage, row.c_str(),
+              static_cast<long long>(gates), t.median_ms, t.min_ms, t.max_ms,
+              note.c_str());
 }
 
 }  // namespace
@@ -56,8 +61,8 @@ int main() {
   std::printf("Scalability across the benchmark ladder (median of %d runs; "
               "%d fault samples)\n\n",
               kRuns, samples);
-  std::printf("%-22s %-11s %7s %11s %9s %9s\n", "stage", "circuit", "gates",
-              "median_ms", "min_ms", "max_ms");
+  std::printf("%-22s %-11s %7s %11s %9s %9s %s\n", "stage", "circuit",
+              "gates", "median_ms", "min_ms", "max_ms", "approx_hash");
 
   std::vector<Network> nets;
   for (const char* name : kLadder) nets.push_back(make_benchmark(name));
@@ -73,9 +78,15 @@ int main() {
     ApproxOptions opt;
     opt.significance_threshold = 0.12;
 
-    print_row("approx_synthesis", kLadder[i], gates, time_runs([&] {
-                synthesize_approximation(optimized, dirs, opt);
-              }));
+    uint64_t approx_hash = 0;
+    const Timing t = time_runs([&] {
+      approx_hash = network_content_hash(
+          synthesize_approximation(optimized, dirs, opt).approx);
+    });
+    char note[32];
+    std::snprintf(note, sizeof(note), "%016llx",
+                  static_cast<unsigned long long>(approx_hash));
+    print_row("approx_synthesis", kLadder[i], gates, t, note);
     print_row("reliability_analysis", kLadder[i], gates,
               time_runs([&] { analyze_reliability(mapped, rel_opt); }));
     print_row("technology_map", kLadder[i], gates,

@@ -703,43 +703,27 @@ void BddManager::sift(const std::vector<Ref>& roots) {
   }
   build_interaction_matrix(roots);
 
+  // One Rudell pass per reorder (CUDD's CUDD_REORDER_SIFT): a further pass
+  // costs about as much as the first and wins back only a few percent of
+  // the nodes, and no BDD answer depends on the order.
   constexpr size_t kMaxSiftVars = 128;  // CUDD-style per-pass variable cap
-  // Two passes capture nearly all of the reduction on these table sizes;
-  // later passes cost as much as the first while reclaiming a few percent,
-  // and converged orders are cached across builds anyway.
-  constexpr int kMaxPasses = 2;
-  size_t prev = live_internal();
-  for (int pass = 0; pass < kMaxPasses; ++pass) {
-    // Most-populated variables first: biggest expected gain, and empty
-    // variables are skipped outright (their swaps are no-ops anyway).
-    std::vector<std::pair<size_t, int>> occupancy;
-    occupancy.reserve(num_vars_);
-    for (int v = 0; v < num_vars_; ++v) {
-      // Counts list entries with a matching label: a slot freed and reused
-      // for the same variable before its stale entry was dropped counts
-      // twice. Sift orders depend on these counts (tests pin them).
-      size_t count = 0;
-      for (Ref r : var_nodes_[v]) count += var_[r] == v;
-      // Lower-bound prune: the sweep for a variable with c nodes cannot
-      // shrink the table by more than c - 1 (its own level collapsing is
-      // the best case), so single-node variables — the common tail after
-      // convergence — are skipped outright instead of paying 2n swaps
-      // for a provably zero gain.
-      if (count > 1) occupancy.emplace_back(count, v);
-    }
-    std::sort(occupancy.begin(), occupancy.end(),
-              [](const std::pair<size_t, int>& a,
-                 const std::pair<size_t, int>& b) { return a.first > b.first; });
-    if (occupancy.size() > kMaxSiftVars) occupancy.resize(kMaxSiftVars);
-    for (const auto& [count, v] : occupancy) sift_var(v);
-    const size_t now = live_internal();
-    // Converged when the pass gained less than 2% — with a floor of one
-    // node so small tables (prev < 50, where prev/50 == 0) still demand a
-    // real improvement to keep sifting rather than degenerating into a
-    // zero-tolerance comparison.
-    if (now + std::max<size_t>(1, prev / 50) >= prev) break;
-    prev = now;
+  // Most-populated variables first: biggest expected gain. The subtables
+  // hold exactly the live nodes of each variable. Lower-bound prune: the
+  // sweep for a variable with c nodes cannot shrink the table by more than
+  // c - 1 (its own level collapsing is the best case), so single-node and
+  // empty variables are skipped outright instead of paying 2n swaps for a
+  // provably zero gain.
+  std::vector<std::pair<size_t, int>> occupancy;
+  occupancy.reserve(num_vars_);
+  for (int v = 0; v < num_vars_; ++v) {
+    const size_t count = sift_tables_[v].used;
+    if (count > 1) occupancy.emplace_back(count, v);
   }
+  std::sort(occupancy.begin(), occupancy.end(),
+            [](const std::pair<size_t, int>& a,
+               const std::pair<size_t, int>& b) { return a.first > b.first; });
+  if (occupancy.size() > kMaxSiftVars) occupancy.resize(kMaxSiftVars);
+  for (const auto& [count, v] : occupancy) sift_var(v);
   [[maybe_unused]] size_t table_bytes = 0;
   for (const SiftTable& t : sift_tables_) {
     table_bytes += t.slots.capacity() * sizeof(SiftSlot);

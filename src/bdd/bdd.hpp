@@ -47,9 +47,11 @@
 // a lower-level node the moment its last parent is rewritten. Freeing is a
 // plain decrement of its two children (they are held by the rewritten
 // parents, so nothing cascades) and allocates nothing. The global tables
-// are rebuilt once, after the sift. Sifting visits, allocates and frees
-// nodes in the same order as the original hash-table kernel, so every
-// reorder walks the same sizes to the same order; tests pin this.
+// are rebuilt once, after the sift. Each reorder runs one sifting pass
+// (CUDD's default CUDD_REORDER_SIFT): variables are visited by their live
+// node count, largest first, and each sweep aborts past 1.2x growth. The
+// walk is deterministic, so a cold build reaches the same orders and live
+// counts on every run; tests pin them. No BDD answer depends on the order.
 #pragma once
 
 #include <cstdint>
@@ -161,7 +163,7 @@ class BddManager {
   void unregister_external_refs(std::vector<Ref>* slots);
 
   /// Garbage-collects from the registered vectors plus `extra_roots`,
-  /// then runs Rudell sifting passes over the compacted arena. Adjacent-
+  /// then runs one Rudell sifting pass over the compacted arena. Adjacent-
   /// level swaps are in-place and function-preserving, so the returned
   /// remap — which callers holding *unregistered* refs (the extras) MUST
   /// apply, per the garbage_collect contract — comes entirely from the

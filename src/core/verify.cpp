@@ -76,21 +76,30 @@ void ApproxOracle::build_bdds() {
   bdd_ok_ = false;
   approx_synced_version_ = approx_.version();
   if (bdd_hostile_) return;  // earlier build hit the budget: stay on SAT
+  // Both networks share PIs, so the original's order (the stable one: the
+  // approx side is an evolving clone, and its near-identical cones share
+  // nodes with the original's under any order) seeds the manager. The
+  // OrderCache is consulted by content hash of the original, so a rebuild
+  // — the repair loop refreshes this oracle many times, and the
+  // screening/sweep stages spin up private oracles over the same pair —
+  // reuses the previously converged order and arms the reorder budget
+  // instead of re-sifting from the structural order. The hash is
+  // recomputed on every build, so any mutation of the original (including
+  // structural ones) keys a different entry by construction. A miss leaves
+  // seed_budget at 0 and the build starts from the static order.
+  uint64_t order_key = 0;
+  size_t seed_budget = 0;
+  std::vector<int> order =
+      cached_or_static_order(original_, &order_key, &seed_budget);
+  // A cold original-side build overflowed a budget at least this large
+  // before, and would again: go straight to SAT without sifting it.
+  if (OrderCache::instance().known_overflow(order_key, budget_)) {
+    bdd_hostile_ = true;
+    return;
+  }
+  bool building_original = true;
   try {
-    // Both networks share PIs, so the original's order (the stable one:
-    // the approx side is an evolving clone, and its near-identical cones
-    // share nodes with the original's under any order) seeds the manager.
-    // The OrderCache is consulted by content hash of the original, so a
-    // rebuild — the repair loop refreshes this oracle many times, and the
-    // screening/sweep stages spin up private oracles over the same pair —
-    // reuses the previously converged order and arms the reorder budget
-    // instead of re-sifting from the structural order. The hash is
-    // recomputed on every build, so any mutation of the original
-    // (including structural ones) keys a different entry by construction.
-    uint64_t order_key = 0;
-    size_t seed_budget = 0;
-    mgr_.emplace(original_.num_pis(), budget_,
-                 cached_or_static_order(original_, &order_key, &seed_budget));
+    mgr_.emplace(original_.num_pis(), budget_, std::move(order));
     mgr_->set_reorder_budget(seed_budget);
     std::vector<NodeId> orig_roots, approx_roots;
     for (const PrimaryOutput& po : original_.pos()) {
@@ -103,6 +112,7 @@ void ApproxOracle::build_bdds() {
     // Register each held vector once it is live so any reorder — during
     // the second build or later queries — rewrites it in place.
     mgr_->register_external_refs(&orig_refs_);
+    building_original = false;
     approx_refs_ = build_cone_bdds(*mgr_, approx_, approx_roots);
     mgr_->register_external_refs(&approx_refs_);
     nodes_after_build_ = mgr_->live_nodes();
@@ -110,6 +120,11 @@ void ApproxOracle::build_bdds() {
     OrderCache::instance().store(
         order_key, {mgr_->export_order(), mgr_->live_nodes()});
   } catch (const BddOverflow&) {
+    // Only a cold original-side overflow depends on the original alone;
+    // an approx-side one depends on the approximation too.
+    if (building_original && seed_budget == 0) {
+      OrderCache::instance().record_overflow(order_key, budget_);
+    }
     mgr_.reset();
     orig_refs_.clear();
     approx_refs_.clear();

@@ -114,13 +114,24 @@ void OrderCache::enforce_cap_locked() {
   }
 }
 
+OrderCache::Entry& OrderCache::entry_locked(uint64_t key) {
+  auto [it, inserted] = map_.try_emplace(key);
+  if (inserted) {
+    lru_.push_front(key);
+    it->second.lru_it = lru_.begin();
+  } else {
+    touch_locked(it->second, key);
+  }
+  return it->second;
+}
+
 std::optional<CachedOrder> OrderCache::lookup(uint64_t key, int num_pis) {
   static trace::Counter& hits = trace::counter("bdd.order_cache_hits");
   static trace::Counter& misses = trace::counter("bdd.order_cache_misses");
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
-  if (it == map_.end() ||
-      it->second.order.level_to_var.size() != static_cast<size_t>(num_pis)) {
+  if (it == map_.end() || !it->second.order.has_value() ||
+      it->second.order->level_to_var.size() != static_cast<size_t>(num_pis)) {
     ++stats_.misses;
     misses.add(1);
     return std::nullopt;
@@ -133,27 +144,38 @@ std::optional<CachedOrder> OrderCache::lookup(uint64_t key, int num_pis) {
 
 void OrderCache::store(uint64_t key, CachedOrder entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = map_.try_emplace(key);
-  if (inserted) {
-    lru_.push_front(key);
-    it->second.lru_it = lru_.begin();
-    it->second.order = std::move(entry);
-    ++stats_.stores;
-    enforce_cap_locked();
-    return;
-  }
+  Entry& e = entry_locked(key);
   // Keep-best: replace only when the candidate converged strictly smaller.
   // First-write-wins otherwise, so concurrent workers racing to store the
-  // same circuit cannot flip-flop the entry. Either way the key was just
-  // used, so refresh its LRU position.
-  touch_locked(it->second, key);
-  if (entry.converged_live > 0 &&
-      entry.converged_live < it->second.order.converged_live) {
-    it->second.order = std::move(entry);
+  // same circuit cannot flip-flop the entry.
+  if (!e.order.has_value() ||
+      (entry.converged_live > 0 &&
+       entry.converged_live < e.order->converged_live)) {
+    e.order = std::move(entry);
     ++stats_.stores;
   } else {
     ++stats_.stores_rejected;
   }
+  enforce_cap_locked();
+}
+
+void OrderCache::record_overflow(uint64_t key, size_t budget) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& e = entry_locked(key);
+  e.overflow_budget = std::max(e.overflow_budget, budget);
+  enforce_cap_locked();
+}
+
+bool OrderCache::known_overflow(uint64_t key, size_t budget) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end() || it->second.order.has_value() ||
+      it->second.overflow_budget < budget) {
+    return false;
+  }
+  touch_locked(it->second, key);
+  ++stats_.overflow_hits;
+  return true;
 }
 
 void OrderCache::clear() {

@@ -33,6 +33,12 @@
 // Staleness is handled by construction: the key is a hash of the network
 // CONTENT, so any mutation — including structural ones that bump
 // Network::structure_version() — produces a different key and misses.
+//
+// The cache also remembers networks whose cold build overflowed the BDD
+// node budget. A cold build starts from the static order and is
+// deterministic, and its node counts do not depend on the budget, so it
+// overflows again at any budget no larger. A later consumer can then skip
+// the build (and its sifting) and go straight to its fallback.
 #pragma once
 
 #include <cstdint>
@@ -99,6 +105,15 @@ class OrderCache {
   /// rebuilds of an evolving approximation cannot churn the entry.
   void store(uint64_t key, CachedOrder entry);
 
+  /// Records that a cold build of `key` (static order, no cached order)
+  /// overflowed a node budget of `budget`. Keeps the largest such budget.
+  void record_overflow(uint64_t key, size_t budget);
+
+  /// True when a cold build of `key` is known to overflow `budget`: an
+  /// overflow was recorded at a budget at least this large and no order
+  /// has been stored for the key since. Counts an overflow hit.
+  bool known_overflow(uint64_t key, size_t budget);
+
   /// Drops every entry and zeroes the stats (tests, bench cold-runs).
   /// Restores the default capacity.
   void clear();
@@ -115,6 +130,7 @@ class OrderCache {
     uint64_t stores = 0;           ///< entries inserted or improved
     uint64_t stores_rejected = 0;  ///< keep-best kept the existing entry
     uint64_t evictions = 0;        ///< entries dropped by the LRU cap
+    uint64_t overflow_hits = 0;    ///< known_overflow() answered true
   };
   Stats stats() const;
   size_t size() const;
@@ -123,10 +139,14 @@ class OrderCache {
   OrderCache() = default;
 
   struct Entry {
-    CachedOrder order;
+    std::optional<CachedOrder> order;  // empty: only an overflow is known
+    size_t overflow_budget = 0;        // largest budget a cold build overflowed
     std::list<uint64_t>::iterator lru_it;  // position in lru_
   };
 
+  /// Finds or inserts `key`'s entry and marks it most recently used.
+  /// Caller holds mu_ and calls enforce_cap_locked() once done with it.
+  Entry& entry_locked(uint64_t key);
   /// Moves `key` to the most-recent end. Caller holds mu_.
   void touch_locked(Entry& e, uint64_t key);
   /// Evicts LRU entries until size() <= max_entries_. Caller holds mu_.

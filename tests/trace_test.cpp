@@ -142,8 +142,9 @@ TEST(TraceTest, CountersAtomicUnderTaskPool) {
 
   EXPECT_EQ(mono.value(), kN);
   EXPECT_EQ(gauge.value(), kN - 1);
-  const trace::PhaseStat* span = find_phase(trace::phase_summary(),
-                                            "test.pool_span");
+  // The summary is held in a local: find_phase points into it.
+  const std::vector<trace::PhaseStat> phases = trace::phase_summary();
+  const trace::PhaseStat* span = find_phase(phases, "test.pool_span");
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->count, kN);
 }
@@ -220,14 +221,16 @@ TEST(TraceTest, SummaryJsonAndReset) {
   EXPECT_NE(json.find("\"test.summary_span\""), std::string::npos);
   EXPECT_NE(json.find("\"test.summary_ctr\""), std::string::npos);
 
-  const trace::CounterStat* ctr =
-      find_counter(trace::counter_summary(), "test.summary_ctr");
+  // Each summary is held in a local: find_counter points into it.
+  const std::vector<trace::CounterStat> before = trace::counter_summary();
+  const trace::CounterStat* ctr = find_counter(before, "test.summary_ctr");
   ASSERT_NE(ctr, nullptr);
   EXPECT_EQ(ctr->value, 3);
 
   trace::reset();
   EXPECT_EQ(find_phase(trace::phase_summary(), "test.summary_span"), nullptr);
-  ctr = find_counter(trace::counter_summary(), "test.summary_ctr");
+  const std::vector<trace::CounterStat> after = trace::counter_summary();
+  ctr = find_counter(after, "test.summary_ctr");
   ASSERT_NE(ctr, nullptr) << "reset zeroes counters but keeps them registered";
   EXPECT_EQ(ctr->value, 0);
 }

@@ -336,6 +336,72 @@ TEST(VerifyOracleTest, OrderCacheStaleEntryMissesAfterStructuralMutation) {
   OrderCache::instance().clear();
 }
 
+// A cold build of the original starts from its static order, and its node
+// counts do not depend on the budget, so an original-side overflow is a
+// property of the original alone. The OrderCache records it by content
+// hash; a later oracle over the same original with no larger budget, and
+// no cached order, goes straight to SAT. An approx-side overflow depends
+// on the approximation too and is never recorded.
+TEST(VerifyOracleTest, OriginalSideOverflowIsCachedByContentHash) {
+  OrderCache& cache = OrderCache::instance();
+  cache.clear();
+  const Network net = shared_cone_net();
+  const uint64_t key = network_content_hash(net);
+  Network approx = net;
+  approx.set_sop(*approx.find_node("n1"), Sop::zero(2));  // f0 becomes 0
+  {
+    ApproxOracle oracle(net, approx, /*bdd_budget=*/4);
+    EXPECT_FALSE(oracle.using_bdds());
+  }
+  EXPECT_EQ(cache.stats().overflow_hits, 0u);
+
+  // No larger budget: known to overflow, so no build; SAT still decides.
+  for (size_t budget : {size_t{4}, size_t{3}}) {
+    ApproxOracle oracle(net, approx, budget);
+    EXPECT_FALSE(oracle.using_bdds());
+    EXPECT_TRUE(oracle.verify(0, ApproxDirection::kOneApprox));
+    EXPECT_EQ(oracle.oracle_stats().sat_queries, 1u);
+  }
+  EXPECT_EQ(cache.stats().overflow_hits, 2u);
+
+  // A larger budget builds, and stores an order for the key.
+  {
+    ApproxOracle oracle(net, approx);
+    EXPECT_TRUE(oracle.using_bdds());
+  }
+  EXPECT_EQ(cache.stats().overflow_hits, 2u);
+  // With an order cached the record no longer applies: the next oracle
+  // tries the seeded build (which overflows again, unrecorded).
+  EXPECT_FALSE(cache.known_overflow(key, 4));
+  {
+    ApproxOracle oracle(net, approx, /*bdd_budget=*/4);
+    EXPECT_FALSE(oracle.using_bdds());
+  }
+  EXPECT_EQ(cache.stats().overflow_hits, 2u);
+
+  // Approx-side overflow: the original is one PI (its build fits in 16
+  // nodes), the approximation an 8-input XOR chain that does not.
+  cache.clear();
+  Network small;
+  Network chain;
+  std::vector<NodeId> pi;
+  for (int i = 0; i < 8; ++i) {
+    small.add_pi("x" + std::to_string(i));
+    pi.push_back(chain.add_pi("x" + std::to_string(i)));
+  }
+  small.add_po("f", small.pis()[0]);
+  NodeId acc = pi[0];
+  for (int i = 1; i < 8; ++i) acc = chain.add_xor(acc, pi[i]);
+  chain.add_po("f", acc);
+  {
+    ApproxOracle oracle(small, chain, /*bdd_budget=*/16);
+    EXPECT_FALSE(oracle.using_bdds());
+  }
+  EXPECT_FALSE(cache.known_overflow(network_content_hash(small), 16));
+  EXPECT_EQ(cache.stats().overflow_hits, 0u);
+  cache.clear();
+}
+
 TEST(VerifyOracleTest, StructuralChangeForcesRebuild) {
   Network net = shared_cone_net();
   Network approx = net;
